@@ -28,7 +28,7 @@ from . import __version__
 from .controller import GainTerms
 from .engine import RunResult, Scenario, run as engine_run
 from .errors import DpcoverError, InputError, ScenarioError
-from .linalg import _feasible_point
+from .linalg import feasible_point
 from .scenario import build_scenario, load_scenario
 from .svgplot import plot_ellipses, plot_series, plot_trajectories
 
@@ -109,7 +109,7 @@ def cmd_run(args) -> int:
     if args.k_interval is not None:
         scenario = replace(scenario, global_w_interval=args.k_interval)
     try:
-        result = engine_run(scenario, parallel=args.parallel)
+        result = engine_run(scenario)
         _write_outputs(Path(args.out), scenario, result, timing=args.timing)
     except DpcoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -217,7 +217,7 @@ def cmd_validate(args) -> int:
     print(f"reference cloud: {scenario.cloud.n_points} points")
     if scenario.input_constraints is not None:
         try:
-            _feasible_point(*scenario.input_constraints)
+            feasible_point(*scenario.input_constraints)
         except DpcoverError:
             print("invalid: input constraint polytope is empty", file=sys.stderr)
             return 1
@@ -239,8 +239,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="seed override")
-    p_run.add_argument("--parallel", type=lambda s: s.lower() in ("1", "true", "yes"),
-                       default=False, metavar="BOOL", help="per-agent thread pool")
     p_run.add_argument("--k-interval", type=int, default=None,
                        help="global-W evaluation interval override")
     p_run.add_argument("--timing", action="store_true",

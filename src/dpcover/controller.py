@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import LtiSystem
 from .errors import InputError
 from .linalg import PsdQp, pseudo_inverse, solve_psd_qp
-from .transport import LocalSelection
 
 
 @dataclass(frozen=True)
@@ -41,17 +40,6 @@ class GainTerms:
         object.__setattr__(self, "D1", 0.5 * (D1 + D1.T))
         object.__setattr__(self, "D2", D2)
         object.__setattr__(self, "D3", float(self.D3))
-
-
-@dataclass(frozen=True)
-class ControlDecision:
-    """One agent-step control outcome."""
-
-    u: np.ndarray
-    delta_w_pred: float
-    in_convergence_range: bool
-    range_nonempty: bool
-    selection: LocalSelection
 
 
 def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:

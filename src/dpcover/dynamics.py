@@ -122,11 +122,6 @@ def step_events(sys: LtiSystem, x, u) -> tuple[np.ndarray, bool]:
     return clipped, bool(np.any(clipped != nxt))
 
 
-def step(sys: LtiSystem, x, u) -> np.ndarray:
-    """A x + B u, clamped into the state bounds when bounds are set."""
-    return step_events(sys, x, u)[0]
-
-
 def output(sys: LtiSystem, x) -> np.ndarray:
     """Output map y = C x."""
     x = np.asarray(x, dtype=float)

@@ -1,24 +1,24 @@
 """Per-step orchestration of the three control stages for all agents.
 
-Each step runs, for every active agent: local sample-point selection and
-optimal input computation, one dynamics step, and the greedy weight update
-at the new position; then one synchronization round over all agents.
-The global 2-Wasserstein distance between the accumulated trajectory cloud
-and the original reference is evaluated every K steps.
+One serial loop: each step runs, for every active agent in index order,
+stage A (local sample-point selection, optimal input, convergence check),
+one dynamics step, and stage B (the greedy weight update at the new
+position); then stage C, one min-rule synchronization round over all
+agents. The global 2-Wasserstein distance between the accumulated
+trajectory cloud and the original reference is evaluated every K steps.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import controller, coordination, dynamics, transport
 from .coordination import CommConfig
-from .distribution import SampleCloud, snap_small_weights
+from .distribution import SampleCloud, agent_alpha, snap_small_weights
 from .dynamics import LtiSystem
 from .errors import InputError
 
@@ -90,9 +90,11 @@ class RunResult:
 
 class _AgentCtx:
     def __init__(self, idx: int, sys: LtiSystem, x0, budget: int,
-                 weights: np.ndarray, alpha: float, cloud_positions: np.ndarray):
+                 weights: np.ndarray, alpha: float, cloud_positions: np.ndarray,
+                 constraints: tuple[np.ndarray, np.ndarray] | None):
         self.idx = idx
         self.sys = sys
+        self.constraints = constraints
         self.cloud_positions = cloud_positions
         self.x = np.asarray(x0, dtype=float).copy()
         self.budget = budget
@@ -102,15 +104,13 @@ class _AgentCtx:
         self.q_bar = self.y.copy()  # previous-step mass center, starts at y^0
         self.active = True
         self.steps_done = 0
-        self.points: list[np.ndarray] = []
         self.masses: list[float] = []
         # (k, selection, W^2 at selection time) awaiting the P-step lookahead
         self.pending: deque = deque()
         self.outputs: list[np.ndarray] = [self.y.copy()]  # y^0, y^1, ...
 
 
-def _agent_step(ctx: _AgentCtx, k: int,
-                constraints: tuple[np.ndarray, np.ndarray] | None) -> StepRecord | None:
+def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
     """Stage A + dynamics step + Stage B for one agent. Returns None when
     the agent's view of the cloud is already empty (agent deactivates)."""
     t0 = time.perf_counter()
@@ -123,9 +123,9 @@ def _agent_step(ctx: _AgentCtx, k: int,
     alpha_used = selection.total_mass
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
     u_unc = controller.optimal_input_unconstrained(gt)
-    if constraints is not None:
-        u = controller.optimal_input_constrained(gt, *constraints)
-        slack = constraints[1] - constraints[0] @ u
+    if ctx.constraints is not None:
+        u = controller.optimal_input_constrained(gt, *ctx.constraints)
+        slack = ctx.constraints[1] - ctx.constraints[0] @ u
         constraint_active = bool(np.any(slack <= 1e-9))
     else:
         u = u_unc
@@ -150,7 +150,6 @@ def _agent_step(ctx: _AgentCtx, k: int,
     ctx.y = y_new
     ctx.q_bar = selection.mass_center
     ctx.steps_done += 1
-    ctx.points.append(y_new.copy())
     ctx.masses.append(alpha_used)
     ctx.outputs.append(y_new.copy())
 
@@ -177,68 +176,55 @@ def _agent_step(ctx: _AgentCtx, k: int,
     return record
 
 
-def run(scenario: Scenario, parallel: bool = False) -> RunResult:
-    """Execute a full scenario. Deterministic given the scenario seed; the
-    parallel flag only changes how per-agent work is scheduled."""
+def run(scenario: Scenario) -> RunResult:
+    """Execute a full scenario. Deterministic given the scenario seed."""
     cloud = scenario.cloud
-    alpha = 1.0 / sum(scenario.budgets)
+    alpha = agent_alpha(scenario.budgets)
     agents = []
     for i, (sys, x0, m) in enumerate(zip(scenario.systems, scenario.initial_states,
                                          scenario.budgets)):
-        ctx = _AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha, cloud.positions)
-        agents.append(ctx)
+        cons = (scenario.input_constraints if scenario.input_constraints is not None
+                else sys.input_bounds)
+        agents.append(_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha,
+                                cloud.positions, cons))
     rng = np.random.default_rng(scenario.seed)
 
     records: list[StepRecord] = []
     global_w: list[tuple[int, float, bool]] = []
     max_k = max(scenario.budgets)
-    pool = ThreadPoolExecutor(max_workers=len(agents)) if parallel else None
-    try:
-        for k in range(1, max_k + 1):
-            live = [a for a in agents if a.active]
-            if not live:
-                break
-            def one(a):
-                cons = scenario.input_constraints
-                if cons is None:
-                    cons = a.sys.input_bounds
-                return _agent_step(a, k, cons)
+    for k in range(1, max_k + 1):
+        live = [a for a in agents if a.active]
+        if not live:
+            break
+        step_records = [r for r in (_agent_step(a, k) for a in live)
+                        if r is not None]
 
-            if pool is not None:
-                step_records = list(pool.map(one, live))
-            else:
-                step_records = [one(a) for a in live]
-            step_records = [r for r in step_records if r is not None]
+        t2 = time.perf_counter()
+        count, sim_ms = coordination.sync_round(
+            [a.weights for a in agents], [a.y for a in agents],
+            scenario.comm, rng)
+        for a in agents:
+            snap_small_weights(a.weights)
+        stage_c_ms = (time.perf_counter() - t2) * 1e3
+        for rec in step_records:
+            rec.comm_events = count
+            rec.comm_sim_ms = sim_ms
+            rec.stage_c_ms = stage_c_ms
+        records.extend(step_records)
 
-            t2 = time.perf_counter()
-            count, sim_ms = coordination.sync_round(
-                [a.weights for a in agents], [a.y for a in agents],
-                scenario.comm, rng)
-            for a in agents:
-                snap_small_weights(a.weights)
-            stage_c_ms = (time.perf_counter() - t2) * 1e3
-            for rec in step_records:
-                rec.comm_events = count
-                rec.comm_sim_ms = sim_ms
-                rec.stage_c_ms = stage_c_ms
-            records.extend(step_records)
+        shared_remaining = np.minimum.reduce([a.weights for a in agents]).sum()
+        done = shared_remaining < REMAINING_MASS_EPS or not any(a.active for a in agents)
+        if (k % scenario.global_w_interval == 0 or done or k == max_k) and step_records:
+            pts = np.vstack([p for a in agents for p in a.outputs[1:]])
+            masses = np.concatenate([np.asarray(a.masses) for a in agents])
+            w2, sub = transport.global_wasserstein(
+                pts, masses, cloud.positions, cloud.weights,
+                cap=scenario.global_w_cap)
+            global_w.append((k, w2, sub))
+        if done:
+            break
 
-            shared_remaining = np.minimum.reduce([a.weights for a in agents]).sum()
-            done = shared_remaining < REMAINING_MASS_EPS or not any(a.active for a in agents)
-            if (k % scenario.global_w_interval == 0 or done or k == max_k) and step_records:
-                pts = np.vstack([p for a in agents for p in a.points])
-                masses = np.concatenate([np.asarray(a.masses) for a in agents])
-                w2, sub = transport.global_wasserstein(
-                    pts, masses, cloud.positions, cloud.weights,
-                    cap=scenario.global_w_cap)
-                global_w.append((k, w2, sub))
-            if done:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    trajectories = [np.vstack(a.points) if a.points else np.empty((0, 2))
+    trajectories = [np.vstack(a.outputs[1:]) if a.steps_done else np.empty((0, 2))
                     for a in agents]
     masses = [np.asarray(a.masses) for a in agents]
     return RunResult(records=records, trajectories=trajectories,

@@ -79,7 +79,7 @@ class PsdQp:
         object.__setattr__(self, "Du", Du)
 
 
-def _feasible_point(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
+def feasible_point(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
     """Chebyshev-center LP: a point well inside {u : Cu u <= Du}."""
     c_rows, m = Cu.shape
     norms = np.linalg.norm(Cu, axis=1)
@@ -127,7 +127,7 @@ def solve_psd_qp(qp: PsdQp, tol: float = 1e-8) -> np.ndarray:
         if np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(g)):
             return u0
 
-    x = _feasible_point(Cu, Du)
+    x = feasible_point(Cu, Du)
     work = set(np.nonzero(Cu @ x >= Du - 1e-11)[0].tolist())
     h_scale = max(np.abs(H).max(), np.abs(g).max(), 1.0)
 

@@ -31,6 +31,13 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
         raise ScenarioError(f"missing required keys {sorted(missing)} in {where}")
 
 
+def _integer(value, where: str, minimum: int) -> int:
+    """value if it is a JSON integer >= minimum (booleans are not integers)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{where} must be an integer >= {minimum}")
+    return value
+
+
 def _build_system(spec: dict, where: str) -> LtiSystem:
     if "preset" in spec:
         _check_keys(spec, {"preset", "dt", "params"}, {"preset", "dt"}, where)
@@ -67,6 +74,8 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
     mix = spec["mixture"]
     _check_keys(mix, {"components", "n_samples", "seed", "domain"},
                 {"components", "n_samples", "domain"}, "reference.mixture")
+    if not isinstance(mix["components"], list):
+        raise ScenarioError("reference.mixture: components must be a list")
     comps = []
     for i, comp in enumerate(mix["components"]):
         _check_keys(comp, {"mean", "cov", "weight"}, {"mean", "cov", "weight"},
@@ -91,14 +100,20 @@ def _build_constraints(spec, where: str):
     if "u_max" in spec:
         if "Cu" in spec or "Du" in spec:
             raise ScenarioError(f"{where}: give either u_max or Cu/Du, not both")
-        u_max = float(spec["u_max"])
+        try:
+            u_max = float(spec["u_max"])
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: u_max: {exc}") from exc
         if u_max <= 0:
             raise ScenarioError(f"{where}: u_max must be positive")
         return u_max  # expanded per agent once input size is known
     if "Cu" not in spec or "Du" not in spec:
         raise ScenarioError(f"{where}: Cu and Du must be given together")
-    Cu = np.asarray(spec["Cu"], dtype=float)
-    Du = np.asarray(spec["Du"], dtype=float)
+    try:
+        Cu = np.asarray(spec["Cu"], dtype=float)
+        Du = np.asarray(spec["Du"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
     if Cu.ndim != 2 or Du.ndim != 1 or Cu.shape[0] != Du.shape[0]:
         raise ScenarioError(f"{where}: Cu must be (c, m) and Du length c")
     return (Cu, Du)
@@ -111,7 +126,7 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
                 {"version", "agents", "reference"}, "scenario")
     if doc["version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {doc['version']!r}")
-    seed = int(doc.get("seed", 0))
+    seed = _integer(doc.get("seed", 0), "seed", 0)
 
     default_system = doc.get("system")
     systems, states, budgets = [], [], []
@@ -125,16 +140,18 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         if sys_spec is None:
             raise ScenarioError(f"{where}: no system given and no scenario default")
         sys = _build_system(sys_spec, f"{where}.system")
-        x0 = np.asarray(agent["initial_state"], dtype=float)
+        try:
+            x0 = np.asarray(agent["initial_state"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: initial_state: {exc}") from exc
         if x0.shape != (sys.n,):
             raise ScenarioError(
                 f"{where}: initial_state has length {x0.size}, system needs {sys.n}")
-        m = agent["M"]
-        if not isinstance(m, int) or m < 1:
-            raise ScenarioError(f"{where}: M must be an integer >= 1")
+        if not np.all(np.isfinite(x0)):
+            raise ScenarioError(f"{where}: initial_state must be finite")
         systems.append(sys)
         states.append(x0)
-        budgets.append(m)
+        budgets.append(_integer(agent["M"], f"{where}: M", 1))
 
     cloud = _build_reference(doc["reference"], base_dir, seed)
 
@@ -166,8 +183,10 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     try:
         return Scenario(systems=systems, initial_states=states, budgets=budgets,
                         cloud=cloud, comm=comm, input_constraints=constraints,
-                        global_w_interval=int(doc.get("global_w_interval", 50)),
-                        global_w_cap=int(doc.get("global_w_cap", 500)),
+                        global_w_interval=_integer(doc.get("global_w_interval", 50),
+                                                   "global_w_interval", 1),
+                        global_w_cap=_integer(doc.get("global_w_cap", 500),
+                                              "global_w_cap", 1),
                         seed=seed)
     except ScenarioError:
         raise

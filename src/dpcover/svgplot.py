@@ -134,7 +134,8 @@ def plot_series(series: dict[int, tuple[np.ndarray, np.ndarray]],
 
 def plot_ellipses(steps: list[dict]) -> str:
     """Convergence-range boundaries plus the constrained and unconstrained
-    input traces over a step window, in input space.
+    input traces over a step window, in input space. A step whose range is
+    empty has no boundary; its inputs still appear in the traces.
 
     Each entry needs keys k, gains (GainTerms), u, u_unc.
     """
@@ -143,7 +144,9 @@ def plot_ellipses(steps: list[dict]) -> str:
     boundaries = []
     for entry in steps:
         gt: GainTerms = entry["gains"]
-        boundaries.append(convergence_ellipse(gt, 128))
+        # the emptiness test convergence_ellipse applies
+        if gt.D2 @ np.linalg.solve(gt.D1, gt.D2) - gt.D3 >= 0.0:
+            boundaries.append(convergence_ellipse(gt, 128))
     all_pts = np.vstack(boundaries + [np.array([e["u"] for e in steps]),
                                       np.array([e["u_unc"] for e in steps])])
     frame = _Frame(all_pts[:, 0].min(), all_pts[:, 0].max(),

@@ -79,13 +79,6 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
                           mass_center=center, exhausted=exhausted)
 
 
-def mass_center(selection: LocalSelection) -> np.ndarray:
-    """Claimed-mass-weighted mean of the selected positions."""
-    if selection.taken.size == 0:
-        raise InputError("empty selection")
-    return (selection.taken @ selection.points) / selection.taken.sum()
-
-
 def weight_update(positions, weights, agent_pos, alpha_next: float) -> TransportPlan:
     """Optimal plan moving alpha_next of mass onto the agent's new position.
 

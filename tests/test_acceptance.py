@@ -297,12 +297,9 @@ def test_criterion_11_determinism(tmp_path, announce):
     csvs = ("trajectories.csv", "metrics.csv", "global_w.csv")
     kinds = ("trajectories", "deltaw", "ellipses", "globalw")
     outs = []
-    for tag, parallel in (("a", False), ("b", False), ("c", True), ("d", True)):
+    for tag in ("a", "b", "c", "d"):
         out = tmp_path / tag
-        args = ["run", "--scenario", str(path), "--out", str(out)]
-        if parallel:
-            args += ["--parallel", "true"]
-        assert cli.main(args) == 0
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         for kind in kinds:
             assert cli.main(["plot", "--out", str(out), "--kind", kind]) == 0
         outs.append(out)
@@ -310,5 +307,4 @@ def test_criterion_11_determinism(tmp_path, announce):
     for other in outs[1:]:
         for name in csvs + tuple(f"{k}.svg" for k in kinds):
             assert filecmp.cmp(base / name, other / name, shallow=False), name
-    announce(11, "byte-identical CSVs and SVGs across repeats, serial "
-                 "and parallel")
+    announce(11, "byte-identical CSVs and SVGs across four repeated runs")

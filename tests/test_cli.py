@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from dpcover import cli
+from dpcover.controller import GainTerms
 from dpcover.engine import replay_metrics, run
 from dpcover.scenario import load_scenario
+from dpcover.svgplot import plot_ellipses
 
 from conftest import first_order_doc
 
@@ -90,14 +92,12 @@ def test_run_determinism_bytes(scenario_file, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_run_parallel_flag_same_bytes(scenario_file, tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    run_cli("run", "--scenario", scenario_file, "--out", out_a)
-    run_cli("run", "--scenario", scenario_file, "--out", out_b,
-            "--parallel", "true")
-    for name in ("trajectories.csv", "metrics.csv", "global_w.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+def test_run_parallel_flag_rejected(scenario_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--scenario", scenario_file, "--out", tmp_path / "out",
+                "--parallel", "true")
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_timing_flag_populates_columns(scenario_file, tmp_path):
@@ -159,6 +159,23 @@ def test_ellipse_window_count(scenario_file, tmp_path):
     # one dashed boundary per step in the window plus the dashed
     # unconstrained-input trace
     assert svg.count("stroke-dasharray") == 5
+
+
+def test_ellipses_skip_empty_range_boundary():
+    # steps 1 and 3 have the unit-disk range around the origin; step 2's
+    # range is empty (D2 D1^-1 D2' - D3 = -0.5), so it has no boundary,
+    # but its inputs stay on both traces
+    def entry(k, d3, u):
+        return {"k": k, "gains": GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=d3),
+                "u": np.array(u), "u_unc": np.zeros(2)}
+
+    svg = plot_ellipses([entry(1, -1.0, [0.1, 0.0]), entry(2, 0.5, [3.0, 0.0]),
+                         entry(3, -1.0, [0.0, 0.1])])
+    # two boundaries plus the dashed unconstrained-input trace
+    assert svg.count("stroke-dasharray") == 3
+    assert "steps 1 to 3" in svg
+    # the frame reaches step 2's input at u1 = 3, past both boundaries
+    assert ">3.2<" in svg
 
 
 def test_plot_missing_csvs_fails(tmp_path):

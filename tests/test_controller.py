@@ -12,7 +12,7 @@ from dpcover.controller import (GainTerms, convergence_check,
                                 convergence_ellipse, delta_w, gain_terms,
                                 optimal_input_constrained,
                                 optimal_input_unconstrained)
-from dpcover.dynamics import make_preset, output, step
+from dpcover.dynamics import make_preset, output, step_events
 from dpcover.errors import InputError
 from dpcover.transport import LocalSelection, select_local_samples
 
@@ -77,7 +77,7 @@ def simulate_delta_w(sys, x, selection, u):
     weighted squared distances to the selected sample-points."""
     y0 = output(sys, x)
     for i in range(sys.P):
-        x = step(sys, x, u if i == 0 else np.zeros(sys.m))
+        x = step_events(sys, x, u if i == 0 else np.zeros(sys.m))[0]
     yp = output(sys, x)
     d_now = np.sum((selection.points - y0) ** 2, axis=1)
     d_then = np.sum((selection.points - yp) ** 2, axis=1)

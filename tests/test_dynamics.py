@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpcover.dynamics import (LtiSystem, make_preset, output, relative_degree,
-                              step, step_events)
+                              step_events)
 from dpcover.errors import InputError
 
 from conftest import integrator_chain
@@ -61,33 +61,33 @@ def test_quadrotor_markov_block_zeros():
 
 def test_step_first_order():
     sys = make_preset("first_order", 0.1)
-    assert np.allclose(step(sys, [1.0, 1.0], [2.0, -1.0]), [3.0, 0.0])
+    assert np.allclose(step_events(sys, [1.0, 1.0], [2.0, -1.0])[0], [3.0, 0.0])
 
 
 def test_step_zero_input_is_drift(rng):
     A, B, C = double_integrator()
     sys = LtiSystem(A=A, B=B, C=C, dt=0.1)
     x = rng.normal(size=2)
-    assert np.allclose(step(sys, x, [0.0]), A @ x)
+    assert np.allclose(step_events(sys, x, [0.0])[0], A @ x)
 
 
 def test_step_quadrotor_hover():
     sys = make_preset("planar_quadrotor", 0.1)
-    assert np.allclose(step(sys, np.zeros(8), np.zeros(2)), np.zeros(8))
+    assert np.allclose(step_events(sys, np.zeros(8), np.zeros(2))[0], np.zeros(8))
 
 
 def test_step_dimension_mismatch():
     sys = make_preset("first_order", 0.1)
     with pytest.raises(InputError):
-        step(sys, [1.0, 2.0, 3.0], [0.0, 0.0])
+        step_events(sys, [1.0, 2.0, 3.0], [0.0, 0.0])
     with pytest.raises(InputError):
-        step(sys, [1.0, 2.0], [0.0])
+        step_events(sys, [1.0, 2.0], [0.0])
 
 
 def test_step_nonfinite_input_rejected():
     sys = make_preset("first_order", 0.1)
     with pytest.raises(InputError):
-        step(sys, [0.0, 0.0], [np.inf, 0.0])
+        step_events(sys, [0.0, 0.0], [np.inf, 0.0])
 
 
 def test_step_linearity_without_bounds(rng):
@@ -95,8 +95,8 @@ def test_step_linearity_without_bounds(rng):
     for _ in range(20):
         x1, x2 = rng.normal(size=(2, sys.n))
         u1, u2 = rng.normal(size=(2, sys.m))
-        lhs = step(sys, x1 + x2, u1 + u2)
-        rhs = step(sys, x1, u1) + step(sys, x2, u2)
+        lhs = step_events(sys, x1 + x2, u1 + u2)[0]
+        rhs = step_events(sys, x1, u1)[0] + step_events(sys, x2, u2)[0]
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_trajectory_repeatability(rng):
         x = x0.copy()
         out = []
         for u in us:
-            x = step(sys, x, u)
+            x = step_events(sys, x, u)[0]
             out.append(x.copy())
         return np.array(out)
 

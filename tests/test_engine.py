@@ -76,13 +76,6 @@ def test_serial_rerun_identical():
     assert a.global_w == b.global_w
 
 
-def test_parallel_matches_serial():
-    a = run(first_order_scenario(n_agents=3, seed=3))
-    b = run(first_order_scenario(n_agents=3, seed=3), parallel=True)
-    assert records_signature(a) == records_signature(b)
-    assert a.global_w == b.global_w
-
-
 # ----------------------------------------------------------------- mass ledger
 
 def test_single_agent_mass_conservation():

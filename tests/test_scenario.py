@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dpcover import cli
 from dpcover.errors import ScenarioError
 from dpcover.scenario import build_scenario, load_scenario
 
@@ -173,3 +174,43 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario(path)
+
+
+def _with(path, value, doc=None):
+    """doc (default first_order_doc()) with the entry at key path (a tuple)
+    set to value."""
+    doc = first_order_doc() if doc is None else doc
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _with(("seed",), "x"),
+    # an explicit mixture seed leaves the negative run seed to the engine
+    _with(("reference", "mixture", "seed"), 3, first_order_doc(seed=-1)),
+    _with(("agents", 0, "initial_state"), ["a", 1.0]),
+    _with(("agents", 0, "initial_state"), [float("nan"), 1.0]),
+    _with(("agents", 0, "M"), True),
+    _with(("global_w_cap",), 0),
+    _with(("global_w_cap",), -5),
+    _with(("input_constraints",), {"u_max": "x"}),
+    _with(("input_constraints",), {"Cu": [["a", 1.0]], "Du": [1.0]}),
+    _with(("reference", "mixture", "components"), 5),
+], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
+        "budget-bool", "cap-zero", "cap-negative", "u-max-str", "cu-str",
+        "components-int"])
+def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
+    with pytest.raises(ScenarioError):
+        build_scenario(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid: ")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dpcover.errors import ExhaustionError, InputError
 from dpcover.linalg import TransportProblem, solve_transport_exact
 from dpcover.transport import (LocalSelection, global_wasserstein,
-                               local_wasserstein, mass_center,
-                               select_local_samples, weight_update)
+                               local_wasserstein, select_local_samples,
+                               weight_update)
 
 
 # ------------------------------------------------------------------- selection
@@ -83,27 +83,18 @@ def test_selection_scaling_invariance(rng):
 # ----------------------------------------------------------------- mass center
 
 def test_mass_center_symmetry():
-    sel = LocalSelection(indices=np.array([0, 1]),
-                         taken=np.array([0.5, 0.5]),
-                         points=np.array([[0.0, 0.0], [2.0, 0.0]]),
-                         mass_center=np.array([1.0, 0.0]), exhausted=False)
-    assert np.allclose(mass_center(sel), [1.0, 0.0])
+    positions = np.array([[0.0, 0.0], [2.0, 0.0]])
+    sel = select_local_samples(np.array([0.5, 0.5]), positions,
+                               np.array([1.0, 0.0]), 1.0)
+    assert np.allclose(sel.mass_center, [1.0, 0.0])
 
 
 def test_mass_center_weighted():
+    # the second point is taken partially: claimed masses 0.5 and 0.1
     q = np.array([[1.0, 1.0], [4.0, 0.0]])
-    sel = LocalSelection(indices=np.array([0, 1]), taken=np.array([0.5, 0.1]),
-                         points=q, mass_center=(0.5 * q[0] + 0.1 * q[1]) / 0.6,
-                         exhausted=False)
-    assert np.allclose(mass_center(sel), (0.5 * q[0] + 0.1 * q[1]) / 0.6)
-
-
-def test_mass_center_empty_rejected():
-    sel = LocalSelection(indices=np.array([], dtype=int),
-                         taken=np.array([]), points=np.zeros((0, 2)),
-                         mass_center=np.zeros(2), exhausted=True)
-    with pytest.raises(InputError):
-        mass_center(sel)
+    sel = select_local_samples(np.array([0.5, 0.5]), q, np.array([1.0, 1.0]), 0.6)
+    assert np.allclose(sel.taken, [0.5, 0.1])
+    assert np.allclose(sel.mass_center, (0.5 * q[0] + 0.1 * q[1]) / 0.6)
 
 
 # --------------------------------------------------------------- weight update
