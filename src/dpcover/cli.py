@@ -99,15 +99,15 @@ def cmd_run(args) -> int:
     try:
         path = Path(args.scenario)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        if args.seed is not None:
+        if args.seed is not None and isinstance(doc, dict):
             # applied before the reference cloud is sampled
             doc["seed"] = args.seed
         scenario = build_scenario(doc, base_dir=path.parent)
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+        if args.k_interval is not None:
+            scenario = replace(scenario, global_w_interval=args.k_interval)
+    except (ValueError, OSError) as exc:  # bad document, file or override
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.k_interval is not None:
-        scenario = replace(scenario, global_w_interval=args.k_interval)
     try:
         result = engine_run(scenario)
         _write_outputs(Path(args.out), scenario, result, timing=args.timing)

@@ -71,9 +71,9 @@ def optimal_input_unconstrained(gt: GainTerms) -> np.ndarray:
     return -pseudo_inverse(gt.D1) @ gt.D2
 
 
-def optimal_input_constrained(gt: GainTerms, Cu, Du, tol: float = 1e-8) -> np.ndarray:
+def optimal_input_constrained(gt: GainTerms, Cu, Du) -> np.ndarray:
     """Optimal input over the polytope Cu u <= Du (PSD QP)."""
-    return solve_psd_qp(PsdQp(H=gt.D1, g=gt.D2, Cu=Cu, Du=Du), tol=tol)
+    return solve_psd_qp(PsdQp(H=gt.D1, g=gt.D2, Cu=Cu, Du=Du))
 
 
 def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:
@@ -107,7 +107,7 @@ def convergence_ellipse(gt: GainTerms, n_points: int) -> np.ndarray:
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise InputError("D1 is rank deficient: range unbounded in flat direction")
     center = -np.linalg.solve(gt.D1, gt.D2)
-    rhs = float(gt.D2 @ np.linalg.solve(gt.D1, gt.D2) - gt.D3)
+    rhs = float(gt.D2 @ -center - gt.D3)  # D2 D1^{-1} D2' - D3, one solve
     if rhs < 0.0:
         raise InputError("convergence range is empty")
     theta = 2.0 * np.pi * np.arange(n_points) / n_points

@@ -17,6 +17,7 @@ from .errors import InputError
 # weights below this are snapped to exactly zero so the "weight > 0"
 # selection predicate stays stable under roundoff
 WEIGHT_SNAP = 1e-12
+MAX_DRAWS_PER_SAMPLE = 1000  # rejection-sampling budget per requested sample
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,20 @@ class MixtureSpec:
 
 def sample_mixture(spec: MixtureSpec) -> SampleCloud:
     """Draw n_samples points (rejection sampling at the domain boundary)
-    with uniform weights 1/N. Deterministic given spec.seed."""
+    with uniform weights 1/N. Deterministic given spec.seed. Raises
+    InputError once MAX_DRAWS_PER_SAMPLE * n_samples draws have not filled
+    the cloud: the domain holds almost none of the mixture's mass."""
     rng = np.random.default_rng(spec.seed)
     x_min, x_max, y_min, y_max = spec.domain
     mix = np.array([w for _, _, w in spec.components])
     mix = mix / mix.sum()
     points = np.empty((spec.n_samples, 2))
-    filled = 0
+    filled = drawn = 0
     while filled < spec.n_samples:
+        if drawn >= MAX_DRAWS_PER_SAMPLE * spec.n_samples:
+            raise InputError("the domain holds almost none of the mixture's mass")
         want = spec.n_samples - filled
+        drawn += want
         comp_idx = rng.choice(len(spec.components), size=want, p=mix)
         draws = np.empty((want, 2))
         z = rng.standard_normal((want, 2))

@@ -19,11 +19,11 @@ DEFAULT_INERTIA = 0.1  # kg m^2, both axes
 PRESET_NAMES = ("first_order", "planar_quadrotor")
 
 
-def relative_degree(A, B, C, tol: float = 1e-10) -> int:
+def relative_degree(A, B, C) -> int:
     """Smallest P >= 1 with C A^(P-1) B nonzero, searched up to P = n.
 
     The zero test is relative: ||C A^i B|| is compared against
-    tol * ||C|| * ||A||^i * ||B|| so badly scaled models behave.
+    1e-10 * ||C|| * ||A||^i * ||B|| so badly scaled models behave.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -31,14 +31,12 @@ def relative_degree(A, B, C, tol: float = 1e-10) -> int:
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n:
         raise InputError("inconsistent system matrix dimensions")
-    if tol <= 0:
-        raise InputError("tol must be positive")
     norm_a = np.linalg.norm(A)
     scale = np.linalg.norm(C) * np.linalg.norm(B)
     Ai_B = B.copy()
     for i in range(n):
         prod = C @ Ai_B
-        if np.linalg.norm(prod) > tol * max(scale, 1e-300):
+        if np.linalg.norm(prod) > 1e-10 * max(scale, 1e-300):
             return i + 1
         Ai_B = A @ Ai_B
         scale *= max(norm_a, 1e-300)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import controller, coordination, dynamics, transport
+from . import controller, coordination, dynamics, linalg, transport
 from .coordination import CommConfig
 from .distribution import SampleCloud, agent_alpha, snap_small_weights
 from .dynamics import LtiSystem
@@ -36,7 +36,7 @@ class Scenario:
     comm: CommConfig = CommConfig()
     input_constraints: tuple[np.ndarray, np.ndarray] | None = None
     global_w_interval: int = 50
-    global_w_cap: int = 500
+    global_w_cap: int = linalg.TRANSPORT_SIZE_CAP
     seed: int = 0
 
     def __post_init__(self):
@@ -48,6 +48,8 @@ class Scenario:
             raise InputError("budgets must be >= 1")
         if self.global_w_interval < 1:
             raise InputError("global_w_interval must be >= 1")
+        if not 1 <= self.global_w_cap <= linalg.TRANSPORT_SIZE_CAP:
+            raise InputError(f"global_w_cap must be in 1..{linalg.TRANSPORT_SIZE_CAP}")
         for sys, x0 in zip(self.systems, self.initial_states):
             if np.asarray(x0, dtype=float).shape != (sys.n,):
                 raise InputError("initial state dimension mismatch")
@@ -141,7 +143,7 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
 
     t1 = time.perf_counter()
     plan = transport.weight_update(positions, ctx.weights, y_new,
-                                   min(alpha_used, ctx.weights.sum()))
+                                   min(alpha_used, remaining))
     ctx.weights -= plan.gammas
     snap_small_weights(ctx.weights)
     stage_b_ms = (time.perf_counter() - t1) * 1e3
@@ -193,18 +195,15 @@ def run(scenario: Scenario) -> RunResult:
     global_w: list[tuple[int, float, bool]] = []
     max_k = max(scenario.budgets)
     for k in range(1, max_k + 1):
-        live = [a for a in agents if a.active]
-        if not live:
-            break
+        live = [a for a in agents if a.active]  # nonempty: `done` ends the loop first
         step_records = [r for r in (_agent_step(a, k) for a in live)
                         if r is not None]
 
         t2 = time.perf_counter()
+        # each vector is snapped by its stage B; minima of snapped ones stay so
         count, sim_ms = coordination.sync_round(
             [a.weights for a in agents], [a.y for a in agents],
             scenario.comm, rng)
-        for a in agents:
-            snap_small_weights(a.weights)
         stage_c_ms = (time.perf_counter() - t2) * 1e3
         for rec in step_records:
             rec.comm_events = count

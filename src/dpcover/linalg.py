@@ -27,19 +27,17 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
-def pseudo_inverse(M, rel_tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(M) -> np.ndarray:
     """Moore-Penrose inverse via full SVD.
 
-    Singular values below rel_tol * sigma_max are treated as exact zeros,
-    so rank-deficient inputs get the minimum-norm inverse.
+    Singular values at or below 1e-10 * sigma_max are treated as exact
+    zeros, so rank-deficient inputs get the minimum-norm inverse.
     """
     M = _as_matrix(M, "M")
-    if rel_tol <= 0:
-        raise InputError("rel_tol must be positive")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0]))
-    keep = s > rel_tol * s[0]
+    keep = s > 1e-10 * s[0]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (Vt.T * s_inv) @ U.T
 
@@ -103,16 +101,16 @@ def _null_space(A: np.ndarray, m: int) -> np.ndarray:
     return Vt[rank:].T
 
 
-def solve_psd_qp(qp: PsdQp, tol: float = 1e-8) -> np.ndarray:
+def solve_psd_qp(qp: PsdQp) -> np.ndarray:
     """Primal active-set solver for small PSD QPs.
 
     Flat directions of H are resolved toward the minimum-norm optimizer:
     the unconstrained minimum-norm point is returned directly when feasible,
     and otherwise a final null-space polish shrinks the solution as far as
-    the constraints allow.
+    the constraints allow. Feasibility, stationarity, multiplier signs and
+    flatness are all judged at the fixed relative tolerance 1e-8.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    tol = 1e-8
     H, g, Cu, Du = qp.H, qp.g, qp.Cu, qp.Du
     m = H.shape[0]
     n_con = Cu.shape[0]

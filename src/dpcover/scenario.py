@@ -16,6 +16,7 @@ from .distribution import MixtureSpec, SampleCloud, load_points, sample_mixture
 from .dynamics import LtiSystem, make_preset
 from .engine import Scenario
 from .errors import ScenarioError
+from .linalg import TRANSPORT_SIZE_CAP
 
 SCHEMA_VERSION = 1
 
@@ -39,7 +40,7 @@ def _integer(value, where: str, minimum: int) -> int:
 
 
 def _build_system(spec: dict, where: str) -> LtiSystem:
-    if "preset" in spec:
+    if isinstance(spec, dict) and "preset" in spec:
         _check_keys(spec, {"preset", "dt", "params"}, {"preset", "dt"}, where)
         try:
             return make_preset(spec["preset"], float(spec["dt"]),
@@ -64,11 +65,10 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
     if ("mixture" in spec) == ("file" in spec):
         raise ScenarioError("reference needs exactly one of 'mixture' or 'file'")
     if "file" in spec:
-        path = Path(spec["file"])
-        if not path.is_absolute():
-            path = base_dir / path
+        if not isinstance(spec["file"], str):
+            raise ScenarioError("reference.file must be a path string")
         try:
-            return load_points(path)
+            return load_points(base_dir / spec["file"])
         except Exception as exc:
             raise ScenarioError(f"reference file: {exc}") from exc
     mix = spec["mixture"]
@@ -83,8 +83,10 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
         comps.append((comp["mean"], comp["cov"], comp["weight"]))
     try:
         ms = MixtureSpec(components=tuple(comps),
-                         n_samples=int(mix["n_samples"]),
-                         seed=int(mix.get("seed", default_seed)),
+                         n_samples=_integer(mix["n_samples"],
+                                            "reference.mixture.n_samples", 1),
+                         seed=_integer(mix.get("seed", default_seed),
+                                       "reference.mixture.seed", 0),
                          domain=tuple(mix["domain"]))
         return sample_mixture(ms)
     except ScenarioError:
@@ -185,7 +187,7 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
                         cloud=cloud, comm=comm, input_constraints=constraints,
                         global_w_interval=_integer(doc.get("global_w_interval", 50),
                                                    "global_w_interval", 1),
-                        global_w_cap=_integer(doc.get("global_w_cap", 500),
+                        global_w_cap=_integer(doc.get("global_w_cap", TRANSPORT_SIZE_CAP),
                                               "global_w_cap", 1),
                         seed=seed)
     except ScenarioError:
@@ -198,6 +200,6 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return build_scenario(doc, base_dir=path.parent)

@@ -42,6 +42,21 @@ class TransportPlan:
     gammas: np.ndarray
 
 
+def _fill_nearest(weights, candidates, keys, demand: float):
+    """(indices, taken, exhausted): candidates in ascending key, ties by
+    index, each taken whole and the last partially until demand is met, or
+    all of them whole (exhausted) when they hold less than demand."""
+    order = candidates[np.argsort(keys, kind="stable")]
+    avail = weights[order]
+    cum = np.cumsum(avail)
+    exhausted = cum[-1] < demand - 1e-15
+    n_take = avail.size if exhausted else int(np.searchsorted(cum, demand - 1e-15)) + 1
+    taken = avail[:n_take].copy()
+    if not exhausted:
+        taken[-1] = demand - (cum[n_take - 1] - avail[n_take - 1])
+    return order[:n_take], taken, exhausted
+
+
 def select_local_samples(weights, positions, prev_center, alpha: float) -> LocalSelection:
     """Greedy selection by ascending weight-normalized Euclidean distance.
 
@@ -57,20 +72,8 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     candidates = np.nonzero(weights > 0)[0]
     if candidates.size == 0:
         raise ExhaustionError("all sample-point weights are zero")
-    dist = np.linalg.norm(positions[candidates] - prev_center, axis=1)
-    order = candidates[np.argsort(dist / weights[candidates], kind="stable")]
-
-    avail = weights[order]
-    cum = np.cumsum(avail)
-    exhausted = cum[-1] < alpha - 1e-15
-    if exhausted:
-        n_take = avail.size
-    else:
-        n_take = int(np.searchsorted(cum, alpha - 1e-15)) + 1
-    idx = order[:n_take]
-    taken = avail[:n_take].copy()
-    if not exhausted:
-        taken[-1] = alpha - (cum[n_take - 1] - avail[n_take - 1])
+    keys = np.linalg.norm(positions[candidates] - prev_center, axis=1) / weights[candidates]
+    idx, taken, exhausted = _fill_nearest(weights, candidates, keys, alpha)
     keep = taken > 0
     idx, taken = idx[keep], taken[keep]
     pts = positions[idx]
@@ -99,15 +102,9 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
     candidates = np.nonzero(weights > 0)[0]
     d2 = np.sum((positions[candidates] - agent_pos) ** 2, axis=1)
-    order = candidates[np.argsort(d2, kind="stable")]
-    avail = weights[order]
-    cum = np.cumsum(avail)
-    n_take = int(np.searchsorted(cum, alpha_next - 1e-15)) + 1
-    n_take = min(n_take, avail.size)
-    fill = avail[:n_take].copy()
-    fill[-1] = alpha_next - (cum[n_take - 1] - avail[n_take - 1])
-    fill[-1] = min(fill[-1], avail[n_take - 1])
-    gammas[order[:n_take]] = fill
+    idx, fill, _ = _fill_nearest(weights, candidates, d2, alpha_next)
+    fill[-1] = min(fill[-1], weights[idx[-1]])
+    gammas[idx] = fill
     return TransportPlan(gammas)
 
 
@@ -121,28 +118,31 @@ def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
 
 
 def _systematic_subsample(points: np.ndarray, weights: np.ndarray,
-                          cap: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
+                          cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic systematic resampling over the cumulative-weight axis.
 
-    Returns cap points of equal weight 1/cap; offset in [0, 1) shifts the
-    sampling comb (derived from the step index by the caller).
+    A cloud of more than cap points becomes cap points of equal weight
+    1/cap, read off the cumulative weights at the fixed comb
+    (0.5 + i) / cap, i = 0 .. cap - 1; a smaller cloud is returned as is.
     """
+    if points.shape[0] <= cap:
+        return points, weights
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    u = (offset + np.arange(cap)) / cap
+    u = (0.5 + np.arange(cap)) / cap
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(weights) - 1)
     return points[idx], np.full(cap, 1.0 / cap)
 
 
 def global_wasserstein(points_a, weights_a, points_b, weights_b,
-                       cap: int = TRANSPORT_SIZE_CAP,
-                       subsample_offset: float = 0.5) -> tuple[float, bool]:
+                       cap: int = TRANSPORT_SIZE_CAP) -> tuple[float, bool]:
     """Exact 2-Wasserstein distance between two weighted planar clouds.
 
-    Both clouds are renormalized to unit mass. Clouds larger than cap are
-    reduced by deterministic systematic resampling first; the returned
-    flag reports whether any subsampling happened.
+    Both clouds are renormalized to unit mass. Clouds with more than cap
+    positive-mass points are first reduced to cap equal-weight points on
+    the fixed comb of _systematic_subsample; the returned flag reports
+    whether any subsampling happened.
     """
     points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
@@ -160,13 +160,9 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
     points_a, wa = points_a[ka], wa[ka]
     points_b, wb = points_b[kb], wb[kb]
 
-    subsampled = False
-    if points_a.shape[0] > cap:
-        points_a, wa = _systematic_subsample(points_a, wa, cap, subsample_offset)
-        subsampled = True
-    if points_b.shape[0] > cap:
-        points_b, wb = _systematic_subsample(points_b, wb, cap, subsample_offset)
-        subsampled = True
+    subsampled = max(points_a.shape[0], points_b.shape[0]) > cap
+    points_a, wa = _systematic_subsample(points_a, wa, cap)
+    points_b, wb = _systematic_subsample(points_b, wb, cap)
     # rebalance exactly after the independent renormalizations
     wa = wa / wa.sum()
     wb = wb / wb.sum()

@@ -221,3 +221,22 @@ def test_k_interval_override(scenario_file, tmp_path):
             "--k-interval", 2)
     _, rows = read_csv(out / "global_w.csv")
     assert len(rows) >= 3
+
+
+@pytest.mark.parametrize("content, extra", [
+    (json.dumps(first_order_doc()), ("--k-interval", 0)),
+    ("[1, 2]", ("--seed", 3)),
+    (b"\xff\xfe{", ()),
+], ids=["k-interval-zero", "seed-on-non-object", "not-utf8"])
+def test_run_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, content, extra):
+    path = tmp_path / "scenario.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", path, "--out", out, *extra) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    if not extra:
+        assert run_cli("validate", "--scenario", path) == 1

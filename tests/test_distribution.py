@@ -48,6 +48,13 @@ def test_sampler_respects_domain():
     assert np.all(cloud.positions[:, 1] <= 8.0)
 
 
+def test_sampler_gives_up_when_domain_misses_mass():
+    # the domain lies 45 standard deviations from the only component
+    spec = single_gaussian(5, domain=(50.0, 51.0, 50.0, 51.0))
+    with pytest.raises(InputError, match="almost none of the mixture"):
+        sample_mixture(spec)
+
+
 def test_sampler_near_degenerate_cov_collapses_to_mean():
     spec = single_gaussian(50, cov=[[1e-12, 0.0], [0.0, 1e-12]])
     cloud = sample_mixture(spec)

@@ -10,6 +10,7 @@ from dpcover.distribution import SampleCloud
 from dpcover.dynamics import make_preset
 from dpcover.engine import Scenario, StepRecord, replay_metrics, run
 from dpcover.errors import InputError
+from dpcover.linalg import TRANSPORT_SIZE_CAP
 
 
 def uniform_cloud(points):
@@ -208,3 +209,10 @@ def test_scenario_alignment_checks():
     with pytest.raises(InputError):
         Scenario(systems=[sys], initial_states=[np.zeros(2)], budgets=[0],
                  cloud=cloud)
+
+
+@pytest.mark.parametrize("cap", [0, -5, TRANSPORT_SIZE_CAP + 1])
+def test_scenario_cap_within_solver_limit(cap):
+    with pytest.raises(InputError, match="global_w_cap"):
+        first_order_scenario(global_w_cap=cap)
+    assert first_order_scenario().global_w_cap == TRANSPORT_SIZE_CAP

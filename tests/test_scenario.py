@@ -1,12 +1,18 @@
 """Scenario JSON schema: strict keys, dimensions, constraint expansion."""
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcover import cli
 from dpcover.errors import ScenarioError
+from dpcover.linalg import TRANSPORT_SIZE_CAP
 from dpcover.scenario import build_scenario, load_scenario
 
 from conftest import first_order_doc
@@ -197,12 +203,24 @@ def _with(path, value, doc=None):
     _with(("agents", 0, "M"), True),
     _with(("global_w_cap",), 0),
     _with(("global_w_cap",), -5),
+    _with(("global_w_cap",), TRANSPORT_SIZE_CAP + 1),
     _with(("input_constraints",), {"u_max": "x"}),
     _with(("input_constraints",), {"Cu": [["a", 1.0]], "Du": [1.0]}),
     _with(("reference", "mixture", "components"), 5),
+    _with(("system",), 5),
+    _with(("agents", 0, "system"), 5),
+    _with(("reference",), {"file": 5}),
+    _with(("reference", "mixture", "n_samples"), True),
+    _with(("reference", "mixture", "n_samples"), 2.7),
+    _with(("reference", "mixture", "seed"), True),
+    _with(("reference", "mixture", "seed"), 2.7),
+    # the mixture puts almost no mass in the domain
+    _with(("reference", "mixture", "domain"), [0.0, 0.01, 0.0, 0.01]),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
-        "budget-bool", "cap-zero", "cap-negative", "u-max-str", "cu-str",
-        "components-int"])
+        "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
+        "cu-str", "components-int", "system-int", "agent-system-int",
+        "reference-file-int", "n-samples-bool", "n-samples-float",
+        "mixture-seed-bool", "mixture-seed-float", "domain-misses-mass"])
 def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     with pytest.raises(ScenarioError):
         build_scenario(doc)
@@ -214,3 +232,35 @@ def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+FUZZ_PALETTE = (None, True, -1, 0, 0.5, 5, "x", [], {})
+
+
+def _subtree_paths(node, prefix=()):
+    """Key path of every subtree of a JSON document, the root's () first."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _subtree_paths(node[key], prefix + (key,))
+
+
+def _fuzz_doc():
+    return first_order_doc(n_agents=2, m_steps=3)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(list(_subtree_paths(_fuzz_doc()))),
+       st.sampled_from(FUZZ_PALETTE))
+def test_mutated_document_never_raises(path, value):
+    """Any one subtree replaced by a palette value: validate answers 0 or 1,
+    run 0, 1 or 2, and neither raises."""
+    value = copy.deepcopy(value)
+    doc = _with(path, value, _fuzz_doc()) if path else value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "doc.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(scenario)]) in (0, 1)
+        out = str(Path(tmp) / "out")
+        assert cli.main(["run", "--scenario", str(scenario), "--out", out]) in (0, 1, 2)

@@ -122,6 +122,14 @@ def test_weight_update_forced_single_point():
     assert np.allclose(plan.gammas, [0.2])
 
 
+def test_weight_update_demand_just_above_supply_takes_all():
+    # within the 1e-12 slack every candidate is taken whole, none beyond
+    weights = np.array([0.1, 0.2, 0.0, 0.3])
+    plan = weight_update(np.arange(8.0).reshape(4, 2), weights, np.zeros(2),
+                         weights.sum() + 5e-13)
+    assert np.array_equal(plan.gammas, weights)
+
+
 def test_weight_update_excess_demand_raises():
     with pytest.raises(ExhaustionError):
         weight_update(np.zeros((2, 2)), np.array([0.1, 0.1]), np.zeros(2), 0.3)
