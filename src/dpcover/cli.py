@@ -28,7 +28,6 @@ from . import __version__
 from .controller import GainTerms
 from .engine import RunResult, Scenario, run as engine_run
 from .errors import DpcoverError, InputError, ScenarioError
-from .linalg import feasible_point
 from .scenario import build_scenario, load_scenario
 from .svgplot import plot_ellipses, plot_series, plot_trajectories
 
@@ -216,11 +215,6 @@ def cmd_validate(args) -> int:
               f"M={scenario.budgets[i]}")
     print(f"reference cloud: {scenario.cloud.n_points} points")
     if scenario.input_constraints is not None:
-        try:
-            feasible_point(*scenario.input_constraints)
-        except DpcoverError:
-            print("invalid: input constraint polytope is empty", file=sys.stderr)
-            return 1
         print(f"input constraints: {scenario.input_constraints[0].shape[0]} rows, feasible")
     else:
         print("input constraints: per-system bounds or unconstrained")

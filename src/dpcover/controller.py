@@ -14,7 +14,7 @@ agent-point mass and qbar the target mass center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class GainTerms:
     D1: np.ndarray  # (m, m) symmetric PSD
     D2: np.ndarray  # (m,)
     D3: float
+    D1_pinv: np.ndarray = field(init=False, repr=False)  # derived: D1^+
+    range_rhs: float = field(init=False)  # derived: D2 D1^+ D2' - D3
 
     def __post_init__(self):
         D1 = np.asarray(self.D1, dtype=float)
@@ -40,6 +42,9 @@ class GainTerms:
         object.__setattr__(self, "D1", 0.5 * (D1 + D1.T))
         object.__setattr__(self, "D2", D2)
         object.__setattr__(self, "D3", float(self.D3))
+        object.__setattr__(self, "D1_pinv", pseudo_inverse(self.D1))
+        object.__setattr__(self, "range_rhs",
+                           float(D2 @ self.D1_pinv @ D2 - self.D3))
 
 
 def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
@@ -68,7 +73,7 @@ def delta_w(gt: GainTerms, u) -> float:
 
 def optimal_input_unconstrained(gt: GainTerms) -> np.ndarray:
     """Minimum-norm member -D1^+ D2' of the set-valued optimum."""
-    return -pseudo_inverse(gt.D1) @ gt.D2
+    return -gt.D1_pinv @ gt.D2
 
 
 def optimal_input_constrained(gt: GainTerms, Cu, Du) -> np.ndarray:
@@ -79,23 +84,21 @@ def optimal_input_constrained(gt: GainTerms, Cu, Du) -> np.ndarray:
 def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:
     """(in_range, range_nonempty) for input u.
 
-    The range is {u : ||u + D1^+ D2'||^2_D1 < D2 D1^+ D2' - D3}; it is
-    nonempty iff the right-hand side is nonnegative. Boundary points count
+    The range is {u : ||u + D1^+ D2'||^2_D1 < gt.range_rhs}; it is
+    nonempty iff gt.range_rhs is nonnegative. Boundary points count
     as outside (the predicted change there is zero, not a decrease).
     """
     u = np.asarray(u, dtype=float).reshape(gt.D2.size)
-    pinv = pseudo_inverse(gt.D1)
-    rhs = float(gt.D2 @ pinv @ gt.D2 - gt.D3)
-    v = u + pinv @ gt.D2
+    v = u + gt.D1_pinv @ gt.D2
     lhs = float(v @ gt.D1 @ v)
-    return (rhs >= 0.0 and lhs < rhs), rhs >= 0.0
+    return (gt.range_rhs >= 0.0 and lhs < gt.range_rhs), gt.range_rhs >= 0.0
 
 
 def convergence_ellipse(gt: GainTerms, n_points: int) -> np.ndarray:
     """Boundary polyline of the convergence range for 2-D inputs.
 
-    Samples the ellipse ||u + D1^{-1} D2'||^2_D1 = rhs at n_points equally
-    spaced parameter angles starting at 0. Requires full-rank D1 and a
+    Samples the ellipse ||u + D1^+ D2'||^2_D1 = gt.range_rhs at n_points
+    equally spaced parameter angles starting at 0. Requires full-rank D1 and a
     nonempty range; a zero-radius range yields n_points copies of the
     center.
     """
@@ -106,11 +109,9 @@ def convergence_ellipse(gt: GainTerms, n_points: int) -> np.ndarray:
     w, V = np.linalg.eigh(gt.D1)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise InputError("D1 is rank deficient: range unbounded in flat direction")
-    center = -np.linalg.solve(gt.D1, gt.D2)
-    rhs = float(gt.D2 @ -center - gt.D3)  # D2 D1^{-1} D2' - D3, one solve
-    if rhs < 0.0:
+    if gt.range_rhs < 0.0:
         raise InputError("convergence range is empty")
     theta = 2.0 * np.pi * np.arange(n_points) / n_points
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    radii = np.sqrt(rhs / w)
-    return center + (circle * radii) @ V.T
+    radii = np.sqrt(gt.range_rhs / w)
+    return -gt.D1_pinv @ gt.D2 + (circle * radii) @ V.T

@@ -65,12 +65,17 @@ class MixtureSpec:
         for mean, cov, w in self.components:
             mean = np.asarray(mean, dtype=float).reshape(2)
             cov = np.asarray(cov, dtype=float).reshape(2, 2)
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+                raise InputError("mean and covariance must be finite")
+            # cholesky reads only the lower triangle
+            if np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max():
+                raise InputError("covariance must be symmetric")
             try:
                 chol = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise InputError("covariance must be symmetric positive definite")
-            if w <= 0:
-                raise InputError("mixing weights must be positive")
+            if isinstance(w, bool) or not 0 < w < np.inf:
+                raise InputError("mixing weights must be positive and finite")
             comps.append((mean, chol, float(w)))
             total += w
         if not comps:

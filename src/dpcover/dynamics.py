@@ -155,6 +155,8 @@ def make_preset(name: str, dt: float, params: dict | None = None) -> LtiSystem:
         tau_max = float(params.pop("tau_max", 100.0))
         if params:
             raise InputError(f"unknown quadrotor params {sorted(params)}")
+        if not all(0.0 < v < np.inf for v in (ixx, iyy, tau_max)):
+            raise InputError("inertia_x, inertia_y and tau_max must be positive and finite")
         A = np.eye(8)
         A[0, 2] = dt          # phi   += dphi * dt
         A[1, 3] = dt          # theta += dtheta * dt

@@ -78,7 +78,11 @@ class PsdQp:
 
 
 def feasible_point(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
-    """Chebyshev-center LP: a point well inside {u : Cu u <= Du}."""
+    """Chebyshev-center LP: a point well inside {u : Cu u <= Du}.
+
+    An unbounded polytope (say a half-plane) holds balls of any radius, so
+    the LP is unbounded; it is then solved again with the radius capped at 1.
+    """
     c_rows, m = Cu.shape
     norms = np.linalg.norm(Cu, axis=1)
     # variables (u, r): maximize r s.t. Cu u + norms*r <= Du
@@ -87,6 +91,9 @@ def feasible_point(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
     A_ub = np.hstack([Cu, norms[:, None]])
     res = linprog(obj, A_ub=A_ub, b_ub=Du, bounds=[(None, None)] * m + [(None, None)],
                   method="highs")
+    if res.status == 3:  # unbounded
+        res = linprog(obj, A_ub=A_ub, b_ub=Du, bounds=[(None, None)] * m + [(None, 1.0)],
+                      method="highs")
     if res.status != 0 or res.x[-1] < -1e-9:
         raise InfeasibleError("constraint polytope is empty")
     return res.x[:m]

@@ -15,8 +15,8 @@ from .coordination import CommConfig
 from .distribution import MixtureSpec, SampleCloud, load_points, sample_mixture
 from .dynamics import LtiSystem, make_preset
 from .engine import Scenario
-from .errors import ScenarioError
-from .linalg import TRANSPORT_SIZE_CAP
+from .errors import InfeasibleError, ScenarioError
+from .linalg import TRANSPORT_SIZE_CAP, feasible_point
 
 SCHEMA_VERSION = 1
 
@@ -106,8 +106,8 @@ def _build_constraints(spec, where: str):
             u_max = float(spec["u_max"])
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{where}: u_max: {exc}") from exc
-        if u_max <= 0:
-            raise ScenarioError(f"{where}: u_max must be positive")
+        if not 0 < u_max < np.inf:
+            raise ScenarioError(f"{where}: u_max must be positive and finite")
         return u_max  # expanded per agent once input size is known
     if "Cu" not in spec or "Du" not in spec:
         raise ScenarioError(f"{where}: Cu and Du must be given together")
@@ -118,6 +118,12 @@ def _build_constraints(spec, where: str):
         raise ScenarioError(f"{where}: {exc}") from exc
     if Cu.ndim != 2 or Du.ndim != 1 or Cu.shape[0] != Du.shape[0]:
         raise ScenarioError(f"{where}: Cu must be (c, m) and Du length c")
+    if not (np.all(np.isfinite(Cu)) and np.all(np.isfinite(Du))):
+        raise ScenarioError(f"{where}: Cu and Du must be finite")
+    try:
+        feasible_point(Cu, Du)
+    except InfeasibleError as exc:
+        raise ScenarioError(f"{where}: polytope Cu u <= Du is empty") from exc
     return (Cu, Du)
 
 

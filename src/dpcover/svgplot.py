@@ -144,8 +144,7 @@ def plot_ellipses(steps: list[dict]) -> str:
     boundaries = []
     for entry in steps:
         gt: GainTerms = entry["gains"]
-        # the emptiness test convergence_ellipse applies
-        if gt.D2 @ np.linalg.solve(gt.D1, gt.D2) - gt.D3 >= 0.0:
+        if gt.range_rhs >= 0.0:
             boundaries.append(convergence_ellipse(gt, 128))
     all_pts = np.vstack(boundaries + [np.array([e["u"] for e in steps]),
                                       np.array([e["u_unc"] for e in steps])])

@@ -9,6 +9,7 @@ import pytest
 from dpcover import cli
 from dpcover.controller import GainTerms
 from dpcover.engine import replay_metrics, run
+from dpcover.errors import InputError
 from dpcover.scenario import load_scenario
 from dpcover.svgplot import plot_ellipses
 
@@ -178,6 +179,19 @@ def test_ellipses_skip_empty_range_boundary():
     assert ">3.2<" in svg
 
 
+def test_ellipses_rank_deficient_step():
+    # D1 = diag(1, 0): the range is unbounded along u2 when it is nonempty
+    def steps(d3):
+        return [{"k": 1, "gains": GainTerms(D1=np.diag([1.0, 0.0]), D2=np.zeros(2),
+                                            D3=d3),
+                 "u": np.zeros(2), "u_unc": np.zeros(2)}]
+
+    with pytest.raises(InputError, match="rank deficient"):
+        plot_ellipses(steps(-1.0))
+    # an empty range is skipped like any other: only the dashed input trace
+    assert plot_ellipses(steps(1.0)).count("stroke-dasharray") == 1
+
+
 def test_plot_missing_csvs_fails(tmp_path):
     assert run_cli("plot", "--out", tmp_path / "nope", "--kind", "deltaw") != 0
     assert not (tmp_path / "nope" / "deltaw.svg").exists()
@@ -213,6 +227,19 @@ def test_validate_infeasible_constraints(tmp_path):
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(doc))
     assert run_cli("validate", "--scenario", path) != 0
+
+
+def test_half_plane_constraint_validates_and_runs(tmp_path):
+    # u1 <= 0.5: an unbounded polytope is a valid constraint set
+    doc = first_order_doc(input_constraints={"Cu": [[1.0, 0.0]], "Du": [0.5]})
+    path = tmp_path / "half_plane.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("validate", "--scenario", path) == 0
+    assert run_cli("run", "--scenario", path, "--out", out) == 0
+    header, rows = read_csv(out / "metrics.csv")
+    u1 = [float(r[header.index("u1")]) for r in rows]
+    assert max(u1) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_k_interval_override(scenario_file, tmp_path):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (PsdQp, TransportProblem, pseudo_inverse,
-                            solve_psd_qp, solve_transport_exact)
+from dpcover.linalg import (PsdQp, TransportProblem, feasible_point,
+                            pseudo_inverse, solve_psd_qp, solve_transport_exact)
 
 
 # ---------------------------------------------------------------- pseudoinverse
@@ -110,6 +110,14 @@ def test_qp_infeasible_raises():
     Du = np.array([-2.0, 1.0])  # u <= -2 and u >= -1
     with pytest.raises(InfeasibleError):
         solve_psd_qp(PsdQp(np.eye(1), np.zeros(1), Cu, Du))
+
+
+def test_qp_half_plane():
+    # u1 <= 1 is unbounded, so its Chebyshev LP is unbounded; not empty
+    Cu, Du = np.array([[1.0, 0.0]]), np.array([1.0])
+    assert Cu @ feasible_point(Cu, Du) <= Du
+    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-5.0, 0.0]), Cu, Du))
+    assert np.allclose(u, [1.0, 0.0], atol=1e-8)
 
 
 def test_qp_non_psd_rejected():

@@ -194,6 +194,14 @@ def _with(path, value, doc=None):
     return doc
 
 
+def _quadrotor_doc(**params):
+    """first_order_doc() with its one agent a planar quadrotor given params."""
+    doc = first_order_doc()
+    doc["system"] = {"preset": "planar_quadrotor", "dt": 0.1, "params": params}
+    doc["agents"][0]["initial_state"] = [0.0] * 6 + [1.0, 1.0]
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     _with(("seed",), "x"),
     # an explicit mixture seed leaves the negative run seed to the engine
@@ -205,6 +213,7 @@ def _with(path, value, doc=None):
     _with(("global_w_cap",), -5),
     _with(("global_w_cap",), TRANSPORT_SIZE_CAP + 1),
     _with(("input_constraints",), {"u_max": "x"}),
+    _with(("input_constraints",), {"u_max": float("inf")}),
     _with(("input_constraints",), {"Cu": [["a", 1.0]], "Du": [1.0]}),
     _with(("reference", "mixture", "components"), 5),
     _with(("system",), 5),
@@ -216,11 +225,24 @@ def _with(path, value, doc=None):
     _with(("reference", "mixture", "seed"), 2.7),
     # the mixture puts almost no mass in the domain
     _with(("reference", "mixture", "domain"), [0.0, 0.01, 0.0, 0.01]),
+    # cholesky reads only the lower triangle, so these sampled as [[2, 0], [0, 2]]
+    _with(("reference", "mixture", "components", 0, "cov"), [[2.0, 5.0], [0.0, 2.0]]),
+    _with(("reference", "mixture", "components", 0, "cov"), [[2.0, None], [0.0, 2.0]]),
+    _with(("reference", "mixture", "components", 0, "weight"), True),
+    _with(("input_constraints",), {"Cu": [[1.0, None], [-1.0, 0.0]], "Du": [1.0, 1.0]}),
+    _with(("input_constraints",), {"Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [1.0, None]}),
+    # u1 <= -2 and u1 >= -1
+    _with(("input_constraints",), {"Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [-2.0, 1.0]}),
+    _quadrotor_doc(tau_max=-1.0),
+    _quadrotor_doc(inertia_y=-0.1),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
         "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
-        "cu-str", "components-int", "system-int", "agent-system-int",
+        "u-max-inf", "cu-str", "components-int", "system-int", "agent-system-int",
         "reference-file-int", "n-samples-bool", "n-samples-float",
-        "mixture-seed-bool", "mixture-seed-float", "domain-misses-mass"])
+        "mixture-seed-bool", "mixture-seed-float", "domain-misses-mass",
+        "cov-asymmetric", "cov-upper-null", "weight-bool", "cu-null", "du-null",
+        "polytope-empty", "quadrotor-tau-max-negative",
+        "quadrotor-inertia-negative"])
 def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     with pytest.raises(ScenarioError):
         build_scenario(doc)
