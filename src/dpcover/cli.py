@@ -215,7 +215,7 @@ def cmd_validate(args) -> int:
               f"M={scenario.budgets[i]}")
     print(f"reference cloud: {scenario.cloud.n_points} points")
     if scenario.input_constraints is not None:
-        print(f"input constraints: {scenario.input_constraints[0].shape[0]} rows, feasible")
+        print(f"input constraints: {scenario.input_constraints.Cu.shape[0]} rows, feasible")
     else:
         print("input constraints: per-system bounds or unconstrained")
     print("scenario is valid")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import LtiSystem
 from .errors import InputError
-from .linalg import PsdQp, pseudo_inverse, solve_psd_qp
+from .linalg import InputPolytope, PsdQp, pseudo_inverse, solve_psd_qp
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ def optimal_input_unconstrained(gt: GainTerms) -> np.ndarray:
     return -gt.D1_pinv @ gt.D2
 
 
-def optimal_input_constrained(gt: GainTerms, Cu, Du) -> np.ndarray:
+def optimal_input_constrained(gt: GainTerms, polytope: InputPolytope) -> np.ndarray:
     """Optimal input over the polytope Cu u <= Du (PSD QP)."""
-    return solve_psd_qp(PsdQp(H=gt.D1, g=gt.D2, Cu=Cu, Du=Du))
+    return solve_psd_qp(PsdQp(H=gt.D1, g=gt.D2, polytope=polytope))
 
 
 def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:

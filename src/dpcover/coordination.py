@@ -25,8 +25,8 @@ class CommConfig:
     def __post_init__(self):
         if self.d_comm is not None and not self.d_comm > 0:
             raise InputError("d_comm must be positive or None (infinite)")
-        if self.latency_mean_ms < 0 or self.latency_jitter_ms < 0:
-            raise InputError("latencies must be nonnegative")
+        if not all(0 <= v < np.inf for v in (self.latency_mean_ms, self.latency_jitter_ms)):
+            raise InputError("latencies must be nonnegative and finite")
 
 
 def share_weights(weights_r, weights_s) -> tuple[np.ndarray, np.ndarray]:

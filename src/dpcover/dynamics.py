@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .linalg import InputPolytope
 
 GRAVITY = 9.81  # m/s^2
 DEFAULT_INERTIA = 0.1  # kg m^2, both axes
@@ -48,7 +49,7 @@ class LtiSystem:
     """Immutable LTI model with derived relative degree and optional bounds.
 
     state_bounds: (n, 2) per-component [lo, hi] on x, or None.
-    input_bounds: (Cu, Du) polyhedron on u, or None.
+    input_bounds: polytope on u, or None.
     """
 
     A: np.ndarray
@@ -57,7 +58,7 @@ class LtiSystem:
     dt: float
     P: int = field(init=False)
     state_bounds: np.ndarray | None = None
-    input_bounds: tuple[np.ndarray, np.ndarray] | None = None
+    input_bounds: InputPolytope | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -72,8 +73,8 @@ class LtiSystem:
             raise InputError("inconsistent system matrix dimensions")
         if not all(np.all(np.isfinite(M)) for M in (A, B, C)):
             raise InputError("system matrices contain non-finite entries")
-        if self.dt <= 0:
-            raise InputError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise InputError("dt must be positive and finite")
         for M, want, name in ((B, B.shape[1], "B"), (C, C.shape[0], "C")):
             s = np.linalg.svd(M, compute_uv=False)
             if int(np.sum(s > 1e-10 * s[0])) != want:
@@ -140,8 +141,6 @@ def make_preset(name: str, dt: float, params: dict | None = None) -> LtiSystem:
     bounds and |tau| <= 100 input bounds attached. params may override
     g, inertia_x, inertia_y, tau_max.
     """
-    if dt <= 0:
-        raise InputError("dt must be positive")
     params = dict(params or {})
     if name == "first_order":
         if params:
@@ -181,8 +180,6 @@ def make_preset(name: str, dt: float, params: dict | None = None) -> LtiSystem:
             [-big, big],              # px
             [-big, big],              # py
         ])
-        Cu = np.vstack([np.eye(2), -np.eye(2)])
-        Du = tau_max * np.ones(4)
         return LtiSystem(A=A, B=B, C=C, dt=dt, state_bounds=bounds,
-                         input_bounds=(Cu, Du))
+                         input_bounds=InputPolytope.box(tau_max, 2))
     raise InputError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")

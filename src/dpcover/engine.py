@@ -34,7 +34,7 @@ class Scenario:
     budgets: list[int]                # steps per agent
     cloud: SampleCloud
     comm: CommConfig = CommConfig()
-    input_constraints: tuple[np.ndarray, np.ndarray] | None = None
+    input_constraints: linalg.InputPolytope | None = None  # else each system's bounds
     global_w_interval: int = 50
     global_w_cap: int = linalg.TRANSPORT_SIZE_CAP
     seed: int = 0
@@ -50,11 +50,14 @@ class Scenario:
             raise InputError("global_w_interval must be >= 1")
         if not 1 <= self.global_w_cap <= linalg.TRANSPORT_SIZE_CAP:
             raise InputError(f"global_w_cap must be in 1..{linalg.TRANSPORT_SIZE_CAP}")
+        polytope = self.input_constraints
         for sys, x0 in zip(self.systems, self.initial_states):
             if np.asarray(x0, dtype=float).shape != (sys.n,):
                 raise InputError("initial state dimension mismatch")
             if sys.p != 2:
                 raise InputError("outputs must be planar (p = 2)")
+            if polytope is not None and polytope.Cu.shape[1] != sys.m:
+                raise InputError("input_constraints: Cu needs one column per system input")
 
 
 @dataclass
@@ -93,7 +96,7 @@ class RunResult:
 class _AgentCtx:
     def __init__(self, idx: int, sys: LtiSystem, x0, budget: int,
                  weights: np.ndarray, alpha: float, cloud_positions: np.ndarray,
-                 constraints: tuple[np.ndarray, np.ndarray] | None):
+                 constraints: linalg.InputPolytope | None):
         self.idx = idx
         self.sys = sys
         self.constraints = constraints
@@ -126,8 +129,8 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
     u_unc = controller.optimal_input_unconstrained(gt)
     if ctx.constraints is not None:
-        u = controller.optimal_input_constrained(gt, *ctx.constraints)
-        slack = ctx.constraints[1] - ctx.constraints[0] @ u
+        u = controller.optimal_input_constrained(gt, ctx.constraints)
+        slack = ctx.constraints.Du - ctx.constraints.Cu @ u
         constraint_active = bool(np.any(slack <= 1e-9))
     else:
         u = u_unc

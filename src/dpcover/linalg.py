@@ -7,7 +7,7 @@ and determinism over speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -43,28 +43,64 @@ def pseudo_inverse(M) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class InputPolytope:
+    """The input set {u : Cu u <= Du}: c >= 1 rows, finite, nonempty.
+
+    Checked once, at construction, which keeps read-only copies of Cu and
+    Du and finds `interior`, the Chebyshev centre (the centre of the
+    largest ball inside; radius capped at 1 for unbounded sets). An empty
+    polytope raises InfeasibleError.
+    """
+
+    Cu: np.ndarray
+    Du: np.ndarray
+    interior: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        Cu = _as_matrix(self.Cu, "Cu").copy()
+        Du = np.array(self.Du, dtype=float)
+        c_rows, m = Cu.shape
+        if c_rows < 1 or m < 1 or Du.shape != (c_rows,) or not np.all(np.isfinite(Du)):
+            raise InputError("Cu must be (c, m) with c, m >= 1 and Du finite of length c")
+        # variables (u, r): maximize r s.t. Cu u + |row of Cu| r <= Du
+        obj = np.r_[np.zeros(m), -1.0]
+        A_ub = np.hstack([Cu, np.linalg.norm(Cu, axis=1)[:, None]])
+        for r_max in (None, 1.0):  # a half-plane holds balls of any radius
+            res = linprog(obj, A_ub=A_ub, b_ub=Du,
+                          bounds=[(None, None)] * m + [(None, r_max)], method="highs")
+            if res.status != 3:  # 3: unbounded
+                break
+        if res.status != 0 or res.x[-1] < -1e-9:
+            raise InfeasibleError("constraint polytope Cu u <= Du is empty")
+        interior = res.x[:m]
+        for name, arr in (("Cu", Cu), ("Du", Du), ("interior", interior)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def box(cls, bound: float, m: int) -> "InputPolytope":
+        """|u_i| <= bound for each of m inputs: Cu = [I; -I], Du = bound."""
+        return cls(np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, bound))
+
+
+@dataclass(frozen=True)
 class PsdQp:
-    """Quadratic program  min u'Hu + 2g'u  s.t.  Cu u <= Du  with H PSD."""
+    """Quadratic program  min u'Hu + 2g'u  s.t.  u in polytope, H PSD."""
 
     H: np.ndarray
     g: np.ndarray
-    Cu: np.ndarray
-    Du: np.ndarray
+    polytope: InputPolytope
 
     def __post_init__(self):
         H = _as_matrix(self.H, "H")
         g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        Cu = _as_matrix(self.Cu, "Cu")
-        Du = np.atleast_1d(np.asarray(self.Du, dtype=float))
         m = H.shape[0]
         if H.shape != (m, m):
             raise InputError("H must be square")
-        if g.shape != (m,):
-            raise InputError(f"g must have length {m}")
-        if Cu.shape[1] != m or Du.shape != (Cu.shape[0],):
+        if g.shape != (m,) or not np.all(np.isfinite(g)):
+            raise InputError(f"g must be finite and of length {m}")
+        if self.polytope.Cu.shape[1] != m:
             raise InputError("constraint dimensions inconsistent with H")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(Du))):
-            raise InputError("non-finite entries in g or Du")
         scale = max(np.abs(H).max(), 1.0)
         if np.abs(H - H.T).max() > 1e-10 * scale:
             raise InputError("H is not symmetric within tolerance")
@@ -73,30 +109,6 @@ class PsdQp:
             raise InputError("H is not positive semidefinite within tolerance")
         object.__setattr__(self, "H", 0.5 * (H + H.T))
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "Cu", Cu)
-        object.__setattr__(self, "Du", Du)
-
-
-def feasible_point(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
-    """Chebyshev-center LP: a point well inside {u : Cu u <= Du}.
-
-    An unbounded polytope (say a half-plane) holds balls of any radius, so
-    the LP is unbounded; it is then solved again with the radius capped at 1.
-    """
-    c_rows, m = Cu.shape
-    norms = np.linalg.norm(Cu, axis=1)
-    # variables (u, r): maximize r s.t. Cu u + norms*r <= Du
-    obj = np.zeros(m + 1)
-    obj[-1] = -1.0
-    A_ub = np.hstack([Cu, norms[:, None]])
-    res = linprog(obj, A_ub=A_ub, b_ub=Du, bounds=[(None, None)] * m + [(None, None)],
-                  method="highs")
-    if res.status == 3:  # unbounded
-        res = linprog(obj, A_ub=A_ub, b_ub=Du, bounds=[(None, None)] * m + [(None, 1.0)],
-                      method="highs")
-    if res.status != 0 or res.x[-1] < -1e-9:
-        raise InfeasibleError("constraint polytope is empty")
-    return res.x[:m]
 
 
 def _null_space(A: np.ndarray, m: int) -> np.ndarray:
@@ -118,21 +130,17 @@ def solve_psd_qp(qp: PsdQp) -> np.ndarray:
     flatness are all judged at the fixed relative tolerance 1e-8.
     """
     tol = 1e-8
-    H, g, Cu, Du = qp.H, qp.g, qp.Cu, qp.Du
+    H, g, Cu, Du = qp.H, qp.g, qp.polytope.Cu, qp.polytope.Du
     m = H.shape[0]
     n_con = Cu.shape[0]
 
     u0 = -pseudo_inverse(H) @ g
-    if n_con == 0:
-        if np.linalg.norm(H @ u0 + g) > tol * (1.0 + np.linalg.norm(g)):
-            raise InfeasibleError("objective unbounded below (no constraints)")
-        return u0
     if np.all(Cu @ u0 <= Du + tol):
         residual = H @ u0 + g
         if np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(g)):
             return u0
 
-    x = feasible_point(Cu, Du)
+    x = qp.polytope.interior.copy()
     work = set(np.nonzero(Cu @ x >= Du - 1e-11)[0].tolist())
     h_scale = max(np.abs(H).max(), np.abs(g).max(), 1.0)
 

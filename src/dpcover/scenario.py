@@ -15,8 +15,8 @@ from .coordination import CommConfig
 from .distribution import MixtureSpec, SampleCloud, load_points, sample_mixture
 from .dynamics import LtiSystem, make_preset
 from .engine import Scenario
-from .errors import InfeasibleError, ScenarioError
-from .linalg import TRANSPORT_SIZE_CAP, feasible_point
+from .errors import InfeasibleError, InputError, ScenarioError
+from .linalg import TRANSPORT_SIZE_CAP, InputPolytope
 
 SCHEMA_VERSION = 1
 
@@ -39,23 +39,41 @@ def _integer(value, where: str, minimum: int) -> int:
     return value
 
 
+def _real(value, where: str, ndim: int | None = 0):
+    """value as finite reals: a float for ndim 0, else an array of ndim
+    nested lists (any depth for None). Booleans, strings, nulls, NaN and
+    Infinity are rejected."""
+    try:  # a ragged list holds lists where numbers belong
+        numbers = all(type(v) in (int, float) for v in np.array(value, dtype=object).flat)
+        arr = np.asarray(value, dtype=float) if numbers else None
+    except (ValueError, OverflowError):  # huge integers
+        arr = None
+    if arr is None or ndim not in (None, arr.ndim):
+        kind = "a number" if ndim == 0 else "a nested list of numbers"
+        raise ScenarioError(f"{where} must be {kind}")
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{where} must be finite")
+    return float(arr) if ndim == 0 else arr
+
+
 def _build_system(spec: dict, where: str) -> LtiSystem:
     if isinstance(spec, dict) and "preset" in spec:
         _check_keys(spec, {"preset", "dt", "params"}, {"preset", "dt"}, where)
+        dt, params = _real(spec["dt"], f"{where}.dt"), spec.get("params")
+        if isinstance(params, dict):
+            params = {k: _real(v, f"{where}.params.{k}") for k, v in params.items()}
         try:
-            return make_preset(spec["preset"], float(spec["dt"]),
-                               spec.get("params"))
+            return make_preset(spec["preset"], dt, params)
         except Exception as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     _check_keys(spec, {"A", "B", "C", "dt", "state_bounds"},
                 {"A", "B", "C", "dt"}, where)
+    A, B, C = (_real(spec[k], f"{where}.{k}", None) for k in "ABC")
+    dt, bounds = _real(spec["dt"], f"{where}.dt"), spec.get("state_bounds")
+    if bounds is not None:
+        bounds = _real(bounds, f"{where}.state_bounds", 2)
     try:
-        return LtiSystem(A=np.asarray(spec["A"], dtype=float),
-                         B=np.asarray(spec["B"], dtype=float),
-                         C=np.asarray(spec["C"], dtype=float),
-                         dt=float(spec["dt"]),
-                         state_bounds=(np.asarray(spec["state_bounds"], dtype=float)
-                                       if spec.get("state_bounds") is not None else None))
+        return LtiSystem(A=A, B=B, C=C, dt=dt, state_bounds=bounds)
     except Exception as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -80,14 +98,15 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
     for i, comp in enumerate(mix["components"]):
         _check_keys(comp, {"mean", "cov", "weight"}, {"mean", "cov", "weight"},
                     f"mixture component {i}")
-        comps.append((comp["mean"], comp["cov"], comp["weight"]))
+        comps.append(tuple(_real(comp[k], f"mixture component {i}.{k}", ndim)
+                           for k, ndim in (("mean", 1), ("cov", 2), ("weight", 0))))
     try:
         ms = MixtureSpec(components=tuple(comps),
                          n_samples=_integer(mix["n_samples"],
                                             "reference.mixture.n_samples", 1),
                          seed=_integer(mix.get("seed", default_seed),
                                        "reference.mixture.seed", 0),
-                         domain=tuple(mix["domain"]))
+                         domain=tuple(_real(mix["domain"], "reference.mixture.domain", 1)))
         return sample_mixture(ms)
     except ScenarioError:
         raise
@@ -95,36 +114,26 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
         raise ScenarioError(f"reference.mixture: {exc}") from exc
 
 
-def _build_constraints(spec, where: str):
+def _build_constraints(spec, systems: list[LtiSystem], where: str) -> InputPolytope | None:
     if spec is None:
         return None
     _check_keys(spec, {"u_max", "Cu", "Du"}, set(), where)
     if "u_max" in spec:
         if "Cu" in spec or "Du" in spec:
             raise ScenarioError(f"{where}: give either u_max or Cu/Du, not both")
-        try:
-            u_max = float(spec["u_max"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: u_max: {exc}") from exc
-        if not 0 < u_max < np.inf:
-            raise ScenarioError(f"{where}: u_max must be positive and finite")
-        return u_max  # expanded per agent once input size is known
+        u_max = _real(spec["u_max"], f"{where}.u_max")
+        m_in = {s.m for s in systems}
+        if not u_max > 0 or len(m_in) != 1:
+            raise ScenarioError(f"{where}: u_max must be positive, and the box "
+                                "needs one input size for all agents")
+        return InputPolytope.box(u_max, m_in.pop())
     if "Cu" not in spec or "Du" not in spec:
         raise ScenarioError(f"{where}: Cu and Du must be given together")
     try:
-        Cu = np.asarray(spec["Cu"], dtype=float)
-        Du = np.asarray(spec["Du"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        return InputPolytope(_real(spec["Cu"], f"{where}.Cu", 2),
+                             _real(spec["Du"], f"{where}.Du", 1))
+    except (InfeasibleError, InputError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
-    if Cu.ndim != 2 or Du.ndim != 1 or Cu.shape[0] != Du.shape[0]:
-        raise ScenarioError(f"{where}: Cu must be (c, m) and Du length c")
-    if not (np.all(np.isfinite(Cu)) and np.all(np.isfinite(Du))):
-        raise ScenarioError(f"{where}: Cu and Du must be finite")
-    try:
-        feasible_point(Cu, Du)
-    except InfeasibleError as exc:
-        raise ScenarioError(f"{where}: polytope Cu u <= Du is empty") from exc
-    return (Cu, Du)
 
 
 def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
@@ -132,7 +141,7 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     _check_keys(doc, {"version", "seed", "system", "agents", "reference", "comm",
                       "input_constraints", "global_w_interval", "global_w_cap"},
                 {"version", "agents", "reference"}, "scenario")
-    if doc["version"] != SCHEMA_VERSION:
+    if isinstance(doc["version"], bool) or doc["version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {doc['version']!r}")
     seed = _integer(doc.get("seed", 0), "seed", 0)
 
@@ -148,45 +157,28 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         if sys_spec is None:
             raise ScenarioError(f"{where}: no system given and no scenario default")
         sys = _build_system(sys_spec, f"{where}.system")
-        try:
-            x0 = np.asarray(agent["initial_state"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: initial_state: {exc}") from exc
+        x0 = _real(agent["initial_state"], f"{where}.initial_state", 1)
         if x0.shape != (sys.n,):
             raise ScenarioError(
                 f"{where}: initial_state has length {x0.size}, system needs {sys.n}")
-        if not np.all(np.isfinite(x0)):
-            raise ScenarioError(f"{where}: initial_state must be finite")
         systems.append(sys)
         states.append(x0)
         budgets.append(_integer(agent["M"], f"{where}: M", 1))
 
     cloud = _build_reference(doc["reference"], base_dir, seed)
 
-    comm_spec = doc.get("comm")
-    if comm_spec is None:
-        comm = CommConfig()
-    else:
-        _check_keys(comm_spec, {"d_comm", "latency_mean_ms", "latency_jitter_ms"},
-                    set(), "comm")
-        try:
-            comm = CommConfig(d_comm=comm_spec.get("d_comm"),
-                              latency_mean_ms=float(comm_spec.get("latency_mean_ms", 0.0)),
-                              latency_jitter_ms=float(comm_spec.get("latency_jitter_ms", 0.0)))
-        except Exception as exc:
-            raise ScenarioError(f"comm: {exc}") from exc
+    comm_spec = {} if doc.get("comm") is None else doc["comm"]
+    _check_keys(comm_spec, {"d_comm", "latency_mean_ms", "latency_jitter_ms"},
+                set(), "comm")
+    values = {k: _real(v, f"comm.{k}") for k, v in comm_spec.items()
+              if not (k == "d_comm" and v is None)}  # a null range is all-to-all
+    try:
+        comm = CommConfig(**values)
+    except InputError as exc:
+        raise ScenarioError(f"comm: {exc}") from exc
 
-    constraints = _build_constraints(doc.get("input_constraints"), "input_constraints")
-    if isinstance(constraints, float):  # u_max box, expand for the input size
-        m_in = systems[0].m
-        if any(s.m != m_in for s in systems):
-            raise ScenarioError("u_max box needs a uniform input dimension")
-        Cu = np.vstack([np.eye(m_in), -np.eye(m_in)])
-        constraints = (Cu, constraints * np.ones(2 * m_in))
-    if constraints is not None:
-        Cu, _ = constraints
-        if any(s.m != Cu.shape[1] for s in systems):
-            raise ScenarioError("input_constraints: Cu column count must equal the input size")
+    constraints = _build_constraints(doc.get("input_constraints"), systems,
+                                     "input_constraints")
 
     try:
         return Scenario(systems=systems, initial_states=states, budgets=budgets,

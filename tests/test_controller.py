@@ -14,6 +14,7 @@ from dpcover.controller import (GainTerms, convergence_check,
                                 optimal_input_unconstrained)
 from dpcover.dynamics import make_preset, output, step_events
 from dpcover.errors import InputError
+from dpcover.linalg import InputPolytope
 from dpcover.transport import LocalSelection, select_local_samples
 
 from conftest import integrator_chain
@@ -25,7 +26,7 @@ def first_order_gains(x=(0.0, 0.0), q_bar=(3.0, 4.0), alpha=0.2):
 
 
 def box(m, hi):
-    return np.vstack([np.eye(m), -np.eye(m)]), hi * np.ones(2 * m)
+    return InputPolytope.box(hi, m)
 
 
 # ----------------------------------------------------------------------- gains
@@ -123,12 +124,12 @@ def test_optimal_input_rank_deficient_minimum_norm():
 
 
 def test_constrained_box_clips():
-    u = optimal_input_constrained(first_order_gains(), *box(2, 2.0))
+    u = optimal_input_constrained(first_order_gains(), box(2, 2.0))
     assert np.allclose(u, [2.0, 2.0], atol=1e-8)
 
 
 def test_constrained_box_contains_optimum():
-    u = optimal_input_constrained(first_order_gains(), *box(2, 10.0))
+    u = optimal_input_constrained(first_order_gains(), box(2, 10.0))
     assert np.allclose(u, [3.0, 4.0], atol=1e-8)
 
 
@@ -139,7 +140,7 @@ def test_constrained_never_beats_unconstrained(rng):
         sel = random_selection(rng, 5)
         gt = gain_terms(sys, x, sel.mass_center, sel.total_mass)
         uu = optimal_input_unconstrained(gt)
-        uc = optimal_input_constrained(gt, *box(sys.m, float(rng.uniform(0.1, 2.0))))
+        uc = optimal_input_constrained(gt, box(sys.m, float(rng.uniform(0.1, 2.0))))
         assert delta_w(gt, uc) >= delta_w(gt, uu) - 1e-10
 
 

@@ -118,7 +118,7 @@ def test_quadrotor_state_bounds_attached():
     assert np.allclose(sb[0], [-0.52, 0.52])
     assert np.allclose(sb[2], [-10.47, 10.47])
     assert np.allclose(sb[4], [-0.5, 0.5])  # 5 m/s scaled by dt
-    Cu, Du = sys.input_bounds
+    Cu, Du = sys.input_bounds.Cu, sys.input_bounds.Du
     assert np.all(np.abs(Cu @ np.array([100.0, 100.0])) <= Du + 1e-12)
     assert np.any(Cu @ np.array([101.0, 0.0]) > Du)
 

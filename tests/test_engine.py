@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dpcover import linalg
 from dpcover.coordination import CommConfig
 from dpcover.distribution import SampleCloud
 from dpcover.dynamics import make_preset
 from dpcover.engine import Scenario, StepRecord, replay_metrics, run
 from dpcover.errors import InputError
-from dpcover.linalg import TRANSPORT_SIZE_CAP
+from dpcover.linalg import TRANSPORT_SIZE_CAP, InputPolytope
 
 
 def uniform_cloud(points):
@@ -209,6 +210,29 @@ def test_scenario_alignment_checks():
     with pytest.raises(InputError):
         Scenario(systems=[sys], initial_states=[np.zeros(2)], budgets=[0],
                  cloud=cloud)
+
+
+def test_scenario_polytope_columns_match_inputs():
+    # a 3-input box for 2-input agents fails when built, not at the first step
+    with pytest.raises(InputError, match="Cu"):
+        first_order_scenario(input_constraints=InputPolytope.box(1.0, 3))
+
+
+def test_constrained_run_solves_no_chebyshev_lp(monkeypatch):
+    """The polytope finds its interior point once, when built: the QP on a
+    binding step starts there. Only the global-W2 transport LPs remain."""
+    scenario = first_order_scenario(input_constraints=InputPolytope.box(0.3, 2))
+    real_linprog = linalg.linprog
+    chebyshev = []
+
+    def counting(*args, **kwargs):
+        chebyshev.append("A_ub" in kwargs)  # the transport LP has A_eq only
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "linprog", counting)
+    result = run(scenario)
+    assert sum(r.input_constraint_active for r in result.records) > 0
+    assert chebyshev and sum(chebyshev) == 0
 
 
 @pytest.mark.parametrize("cap", [0, -5, TRANSPORT_SIZE_CAP + 1])

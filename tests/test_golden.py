@@ -1,0 +1,73 @@
+"""Byte-level pins of the CSV outputs of two small constrained runs.
+
+A change meant to keep behaviour must keep every one of these bytes. Both
+documents drive the active-set QP: the counts checked beside the digests
+show that the pinned bytes cover steps where the input bound binds, and
+(for the quadrotor) where the state bounds clamp.
+"""
+
+import csv
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dpcover import cli
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+CSVS = ("trajectories.csv", "metrics.csv", "global_w.csv", "gains.csv",
+        "reference.csv")
+
+
+def _desk(name: str, **extra) -> dict:
+    """A checked-in desk scenario cut to 200 steps per agent and W2 on
+    100-point clouds."""
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    for agent in doc["agents"]:
+        agent["M"] = 200
+    doc["global_w_cap"] = 100
+    doc.update(extra)
+    return doc
+
+
+# name -> (document, input bound |u_i| <= bound, SHA-256 of each CSV)
+GOLDEN = {
+    "quadrotor_desk": (
+        _desk("quadrotor_desk.json"), 100.0, {
+            "trajectories.csv": "f6b19d09d697e2042c90aa3eb1606012f2e8f09e72fc3757de859287012902d4",
+            "metrics.csv": "167ada47f9cb2bafa8e0d55555d646984d24d67fca974d31f0baa6d63c63afdc",
+            "global_w.csv": "2a87c19266f90fefdb86544ebea7cd5ab07a8d06ce294aa84620eded1d30a588",
+            "gains.csv": "63f6d1bd02387c94dc2df10513fb2580162513c324630ec225ed746169c3a9af",
+            "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
+        }),
+    "first_order_desk_u_max_1": (
+        _desk("first_order_desk.json", input_constraints={"u_max": 1.0}), 1.0, {
+            "trajectories.csv": "eac1720740e733216e09c52f9fcbd187212f179497c0a9b9b9dd8100fb7fc3a6",
+            "metrics.csv": "277380935a713fc04b7139d2af3041f8f46d7d52e219d85a0dd6c654cdc8c257",
+            "global_w.csv": "a90c4f5f099bd21ef68d64f131d2cd0bbf35457cbb548d1bce6e640432626fa5",
+            "gains.csv": "8163a43f328ff37ce0b585f5c0301235746c3490c7b7c05e515db95dae16ab19",
+            "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_constrained_run_outputs_are_pinned(name, tmp_path):
+    doc, bound, digests = GOLDEN[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    active = sum(max(abs(float(r["u1"])), abs(float(r["u2"]))) >= bound - 1e-9
+                 for r in rows)
+    clamps = sum(r["bound_violation"] == "1" for r in rows)
+    assert active > 0
+    if name == "quadrotor_desk":
+        assert clamps > 0
+
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in CSVS}
+    assert got == digests

@@ -1,4 +1,4 @@
-"""Numeric kernels: pseudoinverse, PSD QP, exact transport LP.
+"""Numeric kernels: pseudoinverse, input polytope, PSD QP, exact transport LP.
 
 The QP cases are checked against dense grid searches and the transport
 solver against an exhaustive basis enumeration (small sizes) plus an LP
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (PsdQp, TransportProblem, feasible_point,
+from dpcover.linalg import (InputPolytope, PsdQp, TransportProblem,
                             pseudo_inverse, solve_psd_qp, solve_transport_exact)
 
 
@@ -56,10 +56,58 @@ def test_pinv_full_row_rank_reproduces():
     assert np.allclose(M @ Mp @ M, M, atol=1e-8)
 
 
-# ------------------------------------------------------------------------- QP
+# -------------------------------------------------------------- input polytope
 
 def box(m, hi):
-    return np.vstack([np.eye(m), -np.eye(m)]), hi * np.ones(2 * m)
+    return InputPolytope.box(hi, m)
+
+
+def test_polytope_box():
+    poly = box(3, 2.0)
+    assert np.array_equal(poly.Cu, np.vstack([np.eye(3), -np.eye(3)]))
+    assert np.array_equal(poly.Du, np.full(6, 2.0))
+    assert np.all(poly.Cu @ poly.interior <= poly.Du)
+
+
+@pytest.mark.parametrize("Cu, Du", [
+    (np.empty((0, 2)), np.empty(0)),
+    ([[1.0, 0.0], [-1.0, 0.0]], [1.0]),
+    ([[1.0, np.nan], [-1.0, 0.0]], [1.0, 1.0]),
+    ([[1.0, 0.0], [-1.0, 0.0]], [1.0, np.inf]),
+], ids=["zero-rows", "du-length", "cu-nan", "du-inf"])
+def test_polytope_malformed_rejected(Cu, Du):
+    with pytest.raises(InputError):
+        InputPolytope(Cu, Du)
+
+
+def test_qp_infeasible_raises():
+    Cu = np.array([[1.0], [-1.0]])
+    Du = np.array([-2.0, 1.0])  # u <= -2 and u >= -1
+    with pytest.raises(InfeasibleError):
+        InputPolytope(Cu, Du)
+
+
+def test_qp_half_plane():
+    # u1 <= 1 is unbounded, so its Chebyshev LP is unbounded; not empty
+    poly = InputPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    assert poly.Cu @ poly.interior <= poly.Du
+    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-5.0, 0.0]), poly))
+    assert np.allclose(u, [1.0, 0.0], atol=1e-8)
+
+
+def test_polytope_copies_without_freezing_the_caller():
+    Cu = np.vstack([np.eye(2), -np.eye(2)])
+    Du = np.ones(4)
+    poly = InputPolytope(Cu, Du)
+    Cu[0, 0] = 5.0  # the caller's arrays stay writable ...
+    Du[:] = 0.0
+    assert poly.Cu[0, 0] == 1.0 and np.all(poly.Du == 1.0)  # ... and unshared
+    for arr in (poly.Cu, poly.Du, poly.interior):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+# ------------------------------------------------------------------------- QP
 
 
 def grid_search_box(H, g, hi, res=1e-3):
@@ -83,48 +131,37 @@ def qp_objective(H, g, u):
 def test_qp_box_projection_case():
     H = 0.2 * np.eye(2)
     g = -0.2 * np.array([3.0, 4.0])
-    Cu, Du = box(2, 2.0)
-    u = solve_psd_qp(PsdQp(H, g, Cu, Du))
+    u = solve_psd_qp(PsdQp(H, g, box(2, 2.0)))
     assert np.allclose(u, [2.0, 2.0], atol=1e-8)
     _, oracle = grid_search_box(H, g, 2.0)
     assert qp_objective(H, g, u) <= oracle + 1e-6
 
 
 def test_qp_interior_optimum():
-    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-1.0, 0.0]), *box(2, 5.0)))
+    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-1.0, 0.0]), box(2, 5.0)))
     assert np.allclose(u, [1.0, 0.0], atol=1e-8)
 
 
 def test_qp_flat_direction_minimum_norm():
     H = np.diag([1.0, 0.0])
     g = np.array([-1.0, 0.0])
-    u = solve_psd_qp(PsdQp(H, g, *box(2, 2.0)))
+    u = solve_psd_qp(PsdQp(H, g, box(2, 2.0)))
     # u2 is free in the objective; the minimum-norm member is (1, 0)
     assert np.allclose(u, [1.0, 0.0], atol=1e-8)
     _, oracle = grid_search_box(H, g, 2.0)
     assert qp_objective(H, g, u) <= oracle + 1e-6
 
 
-def test_qp_infeasible_raises():
-    Cu = np.array([[1.0], [-1.0]])
-    Du = np.array([-2.0, 1.0])  # u <= -2 and u >= -1
-    with pytest.raises(InfeasibleError):
-        solve_psd_qp(PsdQp(np.eye(1), np.zeros(1), Cu, Du))
-
-
-def test_qp_half_plane():
-    # u1 <= 1 is unbounded, so its Chebyshev LP is unbounded; not empty
-    Cu, Du = np.array([[1.0, 0.0]]), np.array([1.0])
-    assert Cu @ feasible_point(Cu, Du) <= Du
-    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-5.0, 0.0]), Cu, Du))
-    assert np.allclose(u, [1.0, 0.0], atol=1e-8)
-
-
 def test_qp_non_psd_rejected():
     with pytest.raises(InputError):
-        PsdQp(np.diag([1.0, -1.0]), np.zeros(2), *box(2, 1.0))
+        PsdQp(np.diag([1.0, -1.0]), np.zeros(2), box(2, 1.0))
     with pytest.raises(InputError):
-        PsdQp(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), *box(2, 1.0))
+        PsdQp(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), box(2, 1.0))
+
+
+def test_qp_polytope_columns_must_match_h():
+    with pytest.raises(InputError):
+        PsdQp(np.eye(3), np.zeros(3), box(2, 1.0))
 
 
 def _kkt_residual(H, g, Cu, Du, u, tol=1e-6):
@@ -151,8 +188,9 @@ def test_qp_kkt_property_random(rng):
             H = R.T @ np.diag([1.0] * (m - 1) + [0.0]) @ R if m > 1 else np.zeros((1, 1))
             H = (H + H.T) / 2
         g = rng.normal(size=m)
-        Cu, Du = box(m, float(rng.uniform(0.2, 3.0)))
-        u = solve_psd_qp(PsdQp(H, g, Cu, Du))
+        poly = box(m, float(rng.uniform(0.2, 3.0)))
+        Cu, Du = poly.Cu, poly.Du
+        u = solve_psd_qp(PsdQp(H, g, poly))
         assert np.all(Cu @ u <= Du + 1e-8)
         assert _kkt_residual(H, g, Cu, Du, u) <= 1e-6
         # no random feasible point may beat the returned objective

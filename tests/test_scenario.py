@@ -113,7 +113,7 @@ def test_bad_preset_dt_rejected():
 def test_u_max_expands_to_box():
     doc = first_order_doc(input_constraints={"u_max": 5.0})
     sc = build_scenario(doc)
-    Cu, Du = sc.input_constraints
+    Cu, Du = sc.input_constraints.Cu, sc.input_constraints.Du
     assert Cu.shape == (4, 2)
     assert np.allclose(Du, 5.0)
     assert np.all(Cu @ np.array([5.0, -5.0]) <= Du + 1e-12)
@@ -124,8 +124,7 @@ def test_explicit_cu_du():
     doc = first_order_doc(input_constraints={
         "Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [2.0, 2.0]})
     sc = build_scenario(doc)
-    Cu, Du = sc.input_constraints
-    assert Cu.shape == (2, 2)
+    assert sc.input_constraints.Cu.shape == (2, 2)
 
 
 def test_cu_du_dimension_mismatch():
@@ -235,6 +234,28 @@ def _quadrotor_doc(**params):
     _with(("input_constraints",), {"Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [-2.0, 1.0]}),
     _quadrotor_doc(tau_max=-1.0),
     _quadrotor_doc(inertia_y=-0.1),
+    # JSON booleans and non-finite numbers where a real number belongs
+    _with(("version",), True),
+    _with(("system", "dt"), True),
+    _with(("system", "dt"), float("nan")),
+    _with(("system", "dt"), float("inf")),
+    _with(("system",), {"A": [[True, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+                        "C": [[1.0, 0.0], [0.0, 1.0]], "dt": 0.5}),
+    _quadrotor_doc(tau_max=True),
+    _with(("agents", 0, "initial_state"), [True, 1.0]),
+    _with(("reference", "mixture", "components", 0, "mean"), [True, 5.0]),
+    _with(("reference", "mixture", "components", 0, "cov"), [[2.0, 0.0], [0.0, True]]),
+    _with(("reference", "mixture", "domain"), [False, 10.0, 0.0, 10.0]),
+    _with(("reference", "mixture", "domain"), [0.0, float("inf"), 0.0, 10.0]),
+    first_order_doc(comm={"d_comm": True}),
+    first_order_doc(comm={"d_comm": float("inf")}),
+    first_order_doc(comm={"latency_mean_ms": True}),
+    first_order_doc(comm={"latency_mean_ms": float("nan")}),
+    # with two agents in range, each step draws the jitter from rng.uniform
+    first_order_doc(n_agents=2, comm={"latency_jitter_ms": float("inf")}),
+    _with(("input_constraints",), {"u_max": True}),
+    _with(("input_constraints",), {"Cu": [[True, 0.0], [-1.0, 0.0]], "Du": [1.0, 1.0]}),
+    _with(("input_constraints",), {"Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [True, 1.0]}),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
         "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
         "u-max-inf", "cu-str", "components-int", "system-int", "agent-system-int",
@@ -242,7 +263,11 @@ def _quadrotor_doc(**params):
         "mixture-seed-bool", "mixture-seed-float", "domain-misses-mass",
         "cov-asymmetric", "cov-upper-null", "weight-bool", "cu-null", "du-null",
         "polytope-empty", "quadrotor-tau-max-negative",
-        "quadrotor-inertia-negative"])
+        "quadrotor-inertia-negative", "version-bool", "dt-bool", "dt-nan",
+        "dt-inf", "matrix-bool", "quadrotor-tau-max-bool", "initial-state-bool",
+        "mean-bool", "cov-bool", "domain-bool", "domain-inf", "d-comm-bool",
+        "d-comm-inf", "latency-mean-bool", "latency-mean-nan",
+        "latency-jitter-inf", "u-max-bool", "cu-bool", "du-bool"])
 def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     with pytest.raises(ScenarioError):
         build_scenario(doc)
@@ -256,7 +281,8 @@ def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     assert not out.exists()
 
 
-FUZZ_PALETTE = (None, True, -1, 0, 0.5, 5, "x", [], {})
+FUZZ_PALETTE = (None, True, False, -1, 0, 0.5, 5, float("nan"), float("inf"),
+                "x", [], {})
 
 
 def _subtree_paths(node, prefix=()):
@@ -269,20 +295,28 @@ def _subtree_paths(node, prefix=()):
 
 
 def _fuzz_doc():
-    return first_order_doc(n_agents=2, m_steps=3)
+    return first_order_doc(
+        n_agents=2, m_steps=3,
+        comm={"d_comm": 50.0, "latency_mean_ms": 1.0, "latency_jitter_ms": 0.5},
+        input_constraints={"Cu": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                           "Du": [2.0, 2.0, 2.0]})
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(list(_subtree_paths(_fuzz_doc()))),
        st.sampled_from(FUZZ_PALETTE))
 def test_mutated_document_never_raises(path, value):
     """Any one subtree replaced by a palette value: validate answers 0 or 1,
-    run 0, 1 or 2, and neither raises."""
+    run 0, 1 or 2, neither raises, and run succeeds exactly when validate
+    accepts the document."""
     value = copy.deepcopy(value)
     doc = _with(path, value, _fuzz_doc()) if path else value
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "doc.json"
         scenario.write_text(json.dumps(doc))
-        assert cli.main(["validate", "--scenario", str(scenario)]) in (0, 1)
+        valid = cli.main(["validate", "--scenario", str(scenario)])
+        assert valid in (0, 1)
         out = str(Path(tmp) / "out")
-        assert cli.main(["run", "--scenario", str(scenario), "--out", out]) in (0, 1, 2)
+        ran = cli.main(["run", "--scenario", str(scenario), "--out", out])
+        assert ran in (0, 1, 2)
+        assert (valid == 0) == (ran == 0)
