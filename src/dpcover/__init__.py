@@ -12,11 +12,11 @@ from .coordination import CommConfig, share_weights, sync_round
 from .distribution import (MixtureSpec, SampleCloud, agent_alpha, load_points,
                            sample_mixture)
 from .dynamics import LtiSystem, make_preset, output, relative_degree, step_events
-from .engine import RunResult, Scenario, StepRecord, replay_metrics, run
+from .engine import RunResult, Scenario, StepRecord, run
 from .errors import (DpcoverError, ExhaustionError, InfeasibleError, InputError,
                      ScenarioError, SizeError)
-from .linalg import (InputPolytope, PsdQp, TransportProblem, pseudo_inverse,
-                     solve_psd_qp, solve_transport_exact)
+from .linalg import (InputPolytope, TransportProblem, pseudo_inverse, solve_psd_qp,
+                     solve_transport_exact)
 from .scenario import build_scenario, load_scenario
 from .transport import (LocalSelection, TransportPlan, global_wasserstein,
                         local_wasserstein, select_local_samples, weight_update)

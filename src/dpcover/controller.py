@@ -9,7 +9,9 @@ applying input u now is the quadratic
 
 with D1 = a G'G, D2 = a (x'(A^P)'C' - qbar') G, G = C A^(P-1) B, and
 D3 = a x'((A^P)'C'C A^P - C'C) x - 2 a qbar' C (A^P - I) x, where a is the
-agent-point mass and qbar the target mass center.
+agent-point mass and qbar the target mass center. G and A^P are fixed per
+system and derived once, as LtiSystem.G and LtiSystem.A_p. The same
+checked quadratic, GainTerms, is the objective of the constrained QP.
 """
 
 from __future__ import annotations
@@ -20,11 +22,18 @@ import numpy as np
 
 from .dynamics import LtiSystem
 from .errors import InputError
-from .linalg import InputPolytope, PsdQp, pseudo_inverse, solve_psd_qp
+from .linalg import InputPolytope, pseudo_inverse, solve_psd_qp
 
 
 @dataclass(frozen=True)
 class GainTerms:
+    """The quadratic u'D1u + 2D2u + D3 of one step, checked once.
+
+    D1 must be finite, symmetric and positive semidefinite, each within
+    the relative tolerance 1e-10; it is kept symmetrised. Its
+    pseudoinverse and the convergence-range bound are derived here, once.
+    """
+
     D1: np.ndarray  # (m, m) symmetric PSD
     D2: np.ndarray  # (m,)
     D3: float
@@ -34,12 +43,18 @@ class GainTerms:
     def __post_init__(self):
         D1 = np.asarray(self.D1, dtype=float)
         D2 = np.asarray(self.D2, dtype=float).reshape(-1)
-        if D1.shape != (D2.size, D2.size):
+        if D2.size < 1 or D1.shape != (D2.size, D2.size):
             raise InputError("D1/D2 dimensions inconsistent")
         if not (np.all(np.isfinite(D1)) and np.all(np.isfinite(D2))
                 and np.isfinite(self.D3)):
             raise InputError("non-finite gain terms")
-        object.__setattr__(self, "D1", 0.5 * (D1 + D1.T))
+        if np.abs(D1 - D1.T).max() > 1e-10 * max(np.abs(D1).max(), 1.0):
+            raise InputError("D1 is not symmetric within tolerance")
+        D1 = 0.5 * (D1 + D1.T)
+        eigs = np.linalg.eigvalsh(D1)
+        if eigs[0] < -1e-10 * max(eigs[-1], 0.0) - 1e-300:
+            raise InputError("D1 is not positive semidefinite within tolerance")
+        object.__setattr__(self, "D1", D1)
         object.__setattr__(self, "D2", D2)
         object.__setattr__(self, "D3", float(self.D3))
         object.__setattr__(self, "D1_pinv", pseudo_inverse(self.D1))
@@ -53,10 +68,7 @@ def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
         raise InputError("alpha must be positive")
     x = np.asarray(x, dtype=float).reshape(sys.n)
     q_bar = np.asarray(q_bar, dtype=float).reshape(sys.p)
-    A, B, C, P = sys.A, sys.B, sys.C, sys.P
-    A_pm1 = np.linalg.matrix_power(A, P - 1)
-    A_p = A @ A_pm1
-    G = C @ A_pm1 @ B
+    A_p, C, G = sys.A_p, sys.C, sys.G
     D1 = alpha * G.T @ G
     D2 = alpha * ((x @ A_p.T @ C.T) - q_bar) @ G
     CA_p_x = C @ A_p @ x
@@ -77,8 +89,8 @@ def optimal_input_unconstrained(gt: GainTerms) -> np.ndarray:
 
 
 def optimal_input_constrained(gt: GainTerms, polytope: InputPolytope) -> np.ndarray:
-    """Optimal input over the polytope Cu u <= Du (PSD QP)."""
-    return solve_psd_qp(PsdQp(H=gt.D1, g=gt.D2, polytope=polytope))
+    """Optimal input over the polytope Cu u <= Du (PSD QP on gt)."""
+    return solve_psd_qp(gt, polytope)
 
 
 def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:

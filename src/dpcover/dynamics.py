@@ -46,7 +46,8 @@ def relative_degree(A, B, C) -> int:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """Immutable LTI model with derived relative degree and optional bounds.
+    """Immutable LTI model with optional bounds and derived constants: the
+    relative degree P, A_p = A^P and the P-step input gain G = C A^(P-1) B.
 
     state_bounds: (n, 2) per-component [lo, hi] on x, or None.
     input_bounds: polytope on u, or None.
@@ -57,13 +58,15 @@ class LtiSystem:
     C: np.ndarray
     dt: float
     P: int = field(init=False)
+    A_p: np.ndarray = field(init=False, repr=False)
+    G: np.ndarray = field(init=False, repr=False)
     state_bounds: np.ndarray | None = None
     input_bounds: InputPolytope | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        A = np.array(self.A, dtype=float)
+        B = np.array(self.B, dtype=float)
+        C = np.array(self.C, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
         if C.ndim == 1:
@@ -79,15 +82,20 @@ class LtiSystem:
             s = np.linalg.svd(M, compute_uv=False)
             if int(np.sum(s > 1e-10 * s[0])) != want:
                 raise InputError(f"{name} must have full rank {want}")
+        fields = {"A": A, "B": B, "C": C}
         if self.state_bounds is not None:
-            sb = np.asarray(self.state_bounds, dtype=float)
+            sb = np.array(self.state_bounds, dtype=float)
             if sb.shape != (n, 2) or np.any(sb[:, 0] > sb[:, 1]):
                 raise InputError("state_bounds must be (n, 2) with lo <= hi")
-            object.__setattr__(self, "state_bounds", sb)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "P", relative_degree(A, B, C))
+            fields["state_bounds"] = sb
+        P = relative_degree(A, B, C)
+        A_pm1 = np.linalg.matrix_power(A, P - 1)
+        object.__setattr__(self, "P", P)
+        fields.update(A_p=A @ A_pm1, G=C @ A_pm1 @ B)
+        # read-only copies: the derived A_p and G stay those of A, B, C
+        for name, arr in fields.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:

@@ -232,30 +232,3 @@ def run(scenario: Scenario) -> RunResult:
     return RunResult(records=records, trajectories=trajectories,
                      trajectory_masses=masses, global_w=global_w, alpha=alpha)
 
-
-def replay_metrics(records: list[StepRecord],
-                   global_w: list[tuple[int, float, bool]] | None = None) -> dict:
-    """Deterministic aggregation of a run's step records.
-
-    Returns the fraction of steps with a negative predicted change, the
-    fraction of nonincreasing consecutive global-W pairs, and per-stage
-    timing means.
-    """
-    if not records:
-        raise InputError("no records to summarize")
-    n = len(records)
-    summary = {
-        "steps": n,
-        "frac_delta_w_negative": sum(r.delta_w_pred < 0 for r in records) / n,
-        "mean_stage_a_ms": sum(r.stage_a_ms for r in records) / n,
-        "mean_stage_b_ms": sum(r.stage_b_ms for r in records) / n,
-        "mean_stage_c_ms": sum(r.stage_c_ms for r in records) / n,
-        "total_comm_events": sum(r.comm_events for r in records),
-    }
-    if global_w is not None and len(global_w) >= 2:
-        values = [w for _, w, _ in global_w]
-        drops = sum(b <= a for a, b in zip(values, values[1:]))
-        summary["global_w_monotone_frac"] = drops / (len(values) - 1)
-    elif global_w is not None:
-        summary["global_w_monotone_frac"] = 1.0
-    return summary

@@ -8,12 +8,16 @@ and determinism over speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InfeasibleError, InputError, SizeError
+
+if TYPE_CHECKING:
+    from .controller import GainTerms
 
 TRANSPORT_SIZE_CAP = 500
 
@@ -83,34 +87,6 @@ class InputPolytope:
         return cls(np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, bound))
 
 
-@dataclass(frozen=True)
-class PsdQp:
-    """Quadratic program  min u'Hu + 2g'u  s.t.  u in polytope, H PSD."""
-
-    H: np.ndarray
-    g: np.ndarray
-    polytope: InputPolytope
-
-    def __post_init__(self):
-        H = _as_matrix(self.H, "H")
-        g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        m = H.shape[0]
-        if H.shape != (m, m):
-            raise InputError("H must be square")
-        if g.shape != (m,) or not np.all(np.isfinite(g)):
-            raise InputError(f"g must be finite and of length {m}")
-        if self.polytope.Cu.shape[1] != m:
-            raise InputError("constraint dimensions inconsistent with H")
-        scale = max(np.abs(H).max(), 1.0)
-        if np.abs(H - H.T).max() > 1e-10 * scale:
-            raise InputError("H is not symmetric within tolerance")
-        eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-        if eigs[0] < -1e-10 * max(eigs[-1], 0.0) - 1e-300:
-            raise InputError("H is not positive semidefinite within tolerance")
-        object.__setattr__(self, "H", 0.5 * (H + H.T))
-        object.__setattr__(self, "g", g)
-
-
 def _null_space(A: np.ndarray, m: int) -> np.ndarray:
     """Orthonormal basis of the null space of A (columns). A may be empty."""
     if A.size == 0:
@@ -120,27 +96,31 @@ def _null_space(A: np.ndarray, m: int) -> np.ndarray:
     return Vt[rank:].T
 
 
-def solve_psd_qp(qp: PsdQp) -> np.ndarray:
-    """Primal active-set solver for small PSD QPs.
+def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
+    """Primal active-set solver for  min u'D1u + 2D2u  s.t.  u in polytope.
 
-    Flat directions of H are resolved toward the minimum-norm optimizer:
-    the unconstrained minimum-norm point is returned directly when feasible,
-    and otherwise a final null-space polish shrinks the solution as far as
-    the constraints allow. Feasibility, stationarity, multiplier signs and
-    flatness are all judged at the fixed relative tolerance 1e-8.
+    q is the checked quadratic, a controller.GainTerms: symmetric PSD D1
+    with its pseudoinverse D1_pinv. Flat directions of D1 are resolved
+    toward the minimum-norm optimizer: the unconstrained minimum-norm
+    point -D1_pinv D2 is returned directly when feasible, and otherwise a
+    final null-space polish shrinks the solution as far as the constraints
+    allow. Feasibility, stationarity, multiplier signs and flatness are
+    all judged at the fixed relative tolerance 1e-8.
     """
     tol = 1e-8
-    H, g, Cu, Du = qp.H, qp.g, qp.polytope.Cu, qp.polytope.Du
+    H, g, Cu, Du = q.D1, q.D2, polytope.Cu, polytope.Du
     m = H.shape[0]
     n_con = Cu.shape[0]
+    if Cu.shape[1] != m:
+        raise InputError("constraint dimensions inconsistent with D1")
 
-    u0 = -pseudo_inverse(H) @ g
+    u0 = -q.D1_pinv @ g
     if np.all(Cu @ u0 <= Du + tol):
         residual = H @ u0 + g
         if np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(g)):
             return u0
 
-    x = qp.polytope.interior.copy()
+    x = polytope.interior.copy()
     work = set(np.nonzero(Cu @ x >= Du - 1e-11)[0].tolist())
     h_scale = max(np.abs(H).max(), np.abs(g).max(), 1.0)
 

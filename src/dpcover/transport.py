@@ -101,6 +101,8 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     if alpha_next > weights.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
     candidates = np.nonzero(weights > 0)[0]
+    if candidates.size == 0:  # a demand within the 1e-12 slack of no mass
+        raise ExhaustionError("all sample-point weights are zero")
     d2 = np.sum((positions[candidates] - agent_pos) ** 2, axis=1)
     idx, fill, _ = _fill_nearest(weights, candidates, d2, alpha_next)
     fill[-1] = min(fill[-1], weights[idx[-1]])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpcover import cli
+from dpcover import cli, transport
 from dpcover.controller import (convergence_check, delta_w, gain_terms,
                                 optimal_input_constrained,
                                 optimal_input_unconstrained)
@@ -266,27 +266,43 @@ def _timing_scenario(n_agents, budget=60, n_samples=600):
                     global_w_interval=10 ** 6, seed=3)
 
 
-def test_criterion_10_scalability(announce):
+def test_criterion_10_scalability(announce, monkeypatch):
     """Per-agent step cost must stay flat as the fleet grows at fixed N.
-    Medians over records and a best-of-three repeat damp scheduler noise.
-    The repeats are rep-major (each runs every fleet size once), so a
-    host speed change, lasting seconds to minutes, hits all sizes alike."""
+
+    A shared host's speed can flip between states up to 1.8x apart within
+    a second, so the estimator compares sizes measured close together and
+    gates on a median. One repetition runs four rounds of every fleet
+    size, each round in a rotated order (and each repetition starts one
+    rotation further on), and takes the median stage A+B cost per
+    agent-step of each size over all its steps in that repetition. The
+    repetition's spread is max/min over the sizes; the gate is the median
+    spread over seven repetitions. After the warm-up the final global W2
+    is stubbed: it is outside the measured stages, and its LP (about 9 s
+    at size 8) would otherwise stretch one repetition over seconds of
+    host drift."""
     sizes = (1, 2, 4, 8)
     run(_timing_scenario(sizes[-1]))  # warmup: imports, caches, allocator
-    reps = {n_agents: [] for n_agents in sizes}
-    for _ in range(3):
-        for n_agents in sizes:
-            result = run(_timing_scenario(n_agents))
-            per_step = [r.stage_a_ms + r.stage_b_ms for r in result.records]
-            reps[n_agents].append(float(np.median(per_step)))
-            expected = n_agents * (n_agents - 1) // 2
-            assert all(r.comm_events == expected for r in result.records)
-    cost = {n_agents: min(r) for n_agents, r in reps.items()}
-    ratio = max(cost.values()) / min(cost.values())
+    monkeypatch.setattr(transport, "global_wasserstein", lambda *a, **k: (0.0, False))
+    scenarios = {n_agents: _timing_scenario(n_agents) for n_agents in sizes}
+    spreads = []
+    for rep in range(7):
+        per_step = {n_agents: [] for n_agents in sizes}
+        for rnd in range(len(sizes)):
+            shift = (rep + rnd) % len(sizes)
+            for n_agents in sizes[shift:] + sizes[:shift]:
+                result = run(scenarios[n_agents])
+                per_step[n_agents] += [r.stage_a_ms + r.stage_b_ms
+                                       for r in result.records]
+                expected = n_agents * (n_agents - 1) // 2
+                assert all(r.comm_events == expected for r in result.records)
+        cost = [float(np.median(v)) for v in per_step.values()]
+        spreads.append(max(cost) / min(cost))
+    ratio = float(np.median(spreads))
     assert ratio <= 1.25
-    announce(10, "stage A+B ms/agent-step "
-             + str({k: round(v, 3) for k, v in cost.items()})
-             + f", spread x{ratio:.3f}; exchanges L(L-1)/2 exact")
+    announce(10, "median over 7 repetitions of the spread of stage A+B "
+             f"ms/agent-step across sizes 1-8: x{ratio:.3f} "
+             f"(each: {', '.join(f'{v:.3f}' for v in spreads)}); "
+             "exchanges L(L-1)/2 exact")
 
 
 # -------------------------------------------------------------- criterion 11

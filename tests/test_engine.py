@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpcover import linalg
+from dpcover import controller, linalg
 from dpcover.coordination import CommConfig
 from dpcover.distribution import SampleCloud
 from dpcover.dynamics import make_preset
-from dpcover.engine import Scenario, StepRecord, replay_metrics, run
+from dpcover.engine import Scenario, run
 from dpcover.errors import InputError
 from dpcover.linalg import TRANSPORT_SIZE_CAP, InputPolytope
 
@@ -159,43 +159,6 @@ def test_finite_comm_range_changes_nothing_when_apart():
     assert all(r.comm_events == 0 for r in res.records)
 
 
-# -------------------------------------------------------------- replay metrics
-
-def fake_record(dw, **kw):
-    base = dict(agent=0, k=1, y=np.zeros(2), u=np.zeros(2),
-                u_unconstrained=np.zeros(2), gains=None,
-                delta_w_pred=dw, delta_w_unconstrained=dw, local_w=1.0,
-                in_range=dw < 0, range_nonempty=True, bound_violation=False,
-                input_constraint_active=False, exhausted=False,
-                comm_events=0, comm_sim_ms=0.0,
-                stage_a_ms=1.0, stage_b_ms=1.0, stage_c_ms=1.0)
-    base.update(kw)
-    return StepRecord(**base)
-
-
-def test_replay_metrics_all_negative():
-    recs = [fake_record(-1.0) for _ in range(10)]
-    assert replay_metrics(recs)["frac_delta_w_negative"] == 1.0
-
-
-def test_replay_metrics_three_of_four():
-    recs = [fake_record(v) for v in (-1.0, -0.5, 0.2, -2.0)]
-    assert replay_metrics(recs)["frac_delta_w_negative"] == 0.75
-
-
-def test_replay_metrics_monotone_series():
-    recs = [fake_record(-1.0)]
-    gw = [(10, 5.0, False), (20, 4.0, False), (30, 3.0, False)]
-    assert replay_metrics(recs, gw)["global_w_monotone_frac"] == 1.0
-    gw = [(10, 5.0, False), (20, 6.0, False), (30, 3.0, False)]
-    assert replay_metrics(recs, gw)["global_w_monotone_frac"] == 0.5
-
-
-def test_replay_metrics_empty_rejected():
-    with pytest.raises(InputError):
-        replay_metrics([])
-
-
 # ------------------------------------------------------------------ validation
 
 def test_scenario_alignment_checks():
@@ -233,6 +196,29 @@ def test_constrained_run_solves_no_chebyshev_lp(monkeypatch):
     result = run(scenario)
     assert sum(r.input_constraint_active for r in result.records) > 0
     assert chebyshev and sum(chebyshev) == 0
+
+
+def test_constrained_step_inverts_d1_once(monkeypatch):
+    """A constrained agent-step computes one pseudoinverse, D1^+ in its
+    GainTerms, which the QP reuses; G and A^P come from the system, so
+    the run takes no matrix powers."""
+    scenario = first_order_scenario(input_constraints=InputPolytope.box(0.3, 2))
+    calls = {"pinv": 0, "matrix_power": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    pinv = counting("pinv", linalg.pseudo_inverse)
+    monkeypatch.setattr(controller, "pseudo_inverse", pinv)
+    monkeypatch.setattr(linalg, "pseudo_inverse", pinv)
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        counting("matrix_power", np.linalg.matrix_power))
+    result = run(scenario)
+    assert sum(r.input_constraint_active for r in result.records) > 0
+    assert calls == {"pinv": len(result.records), "matrix_power": 0}
 
 
 @pytest.mark.parametrize("cap", [0, -5, TRANSPORT_SIZE_CAP + 1])

@@ -1,9 +1,11 @@
-"""Byte-level pins of the CSV outputs of two small constrained runs.
+"""Byte-level pins of the CSV outputs of three small constrained runs.
 
-A change meant to keep behaviour must keep every one of these bytes. Both
+A change meant to keep behaviour must keep every one of these bytes. All
 documents drive the active-set QP: the counts checked beside the digests
-show that the pinned bytes cover steps where the input bound binds, and
-(for the quadrotor) where the state bounds clamp.
+show that the pinned bytes cover steps where an input constraint binds,
+and (for the quadrotor) where the state bounds clamp. Two polytopes are
+boxes centred at 0; the triangle's Chebyshev centre is (0.268, -0.232),
+so its active set starts away from the origin.
 """
 
 import csv
@@ -11,6 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpcover import cli
@@ -31,10 +34,17 @@ def _desk(name: str, **extra) -> dict:
     return doc
 
 
-# name -> (document, input bound |u_i| <= bound, SHA-256 of each CSV)
+def _box(bound: float) -> tuple[list, list]:
+    """Cu, Du of |u_i| <= bound for two inputs."""
+    return [[1, 0], [0, 1], [-1, 0], [0, -1]], [bound] * 4
+
+
+TRIANGLE = {"Cu": [[1, 0], [0, 1], [-1, -1]], "Du": [1, 0.5, 1]}
+
+# name -> (document, its input polytope (Cu, Du), SHA-256 of each CSV)
 GOLDEN = {
     "quadrotor_desk": (
-        _desk("quadrotor_desk.json"), 100.0, {
+        _desk("quadrotor_desk.json"), _box(100.0), {
             "trajectories.csv": "f6b19d09d697e2042c90aa3eb1606012f2e8f09e72fc3757de859287012902d4",
             "metrics.csv": "167ada47f9cb2bafa8e0d55555d646984d24d67fca974d31f0baa6d63c63afdc",
             "global_w.csv": "2a87c19266f90fefdb86544ebea7cd5ab07a8d06ce294aa84620eded1d30a588",
@@ -42,11 +52,20 @@ GOLDEN = {
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
         }),
     "first_order_desk_u_max_1": (
-        _desk("first_order_desk.json", input_constraints={"u_max": 1.0}), 1.0, {
+        _desk("first_order_desk.json", input_constraints={"u_max": 1.0}), _box(1.0), {
             "trajectories.csv": "eac1720740e733216e09c52f9fcbd187212f179497c0a9b9b9dd8100fb7fc3a6",
             "metrics.csv": "277380935a713fc04b7139d2af3041f8f46d7d52e219d85a0dd6c654cdc8c257",
             "global_w.csv": "a90c4f5f099bd21ef68d64f131d2cd0bbf35457cbb548d1bce6e640432626fa5",
             "gains.csv": "8163a43f328ff37ce0b585f5c0301235746c3490c7b7c05e515db95dae16ab19",
+            "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
+        }),
+    "first_order_desk_triangle": (
+        _desk("first_order_desk.json", input_constraints=TRIANGLE),
+        (TRIANGLE["Cu"], TRIANGLE["Du"]), {
+            "trajectories.csv": "1a8caf64289039ef441fec92eb59e8b5faec034dd103910220acaddd5226005e",
+            "metrics.csv": "3247b282afb999ae4ba8fe4eabe5fe1d1624d457f747d1c86048e4ff8bae1fb7",
+            "global_w.csv": "68df338dd92705221e33889fe8c02def5263bb28cfbad7caefabda43f3a77538",
+            "gains.csv": "d96cc48aacdfe4c76e043bbb2c5154ecc33b588b555e9bfbc049ad62a19e5dde",
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
         }),
 }
@@ -54,7 +73,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_constrained_run_outputs_are_pinned(name, tmp_path):
-    doc, bound, digests = GOLDEN[name]
+    doc, (Cu, Du), digests = GOLDEN[name]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -62,8 +81,9 @@ def test_constrained_run_outputs_are_pinned(name, tmp_path):
 
     with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    active = sum(max(abs(float(r["u1"])), abs(float(r["u2"]))) >= bound - 1e-9
-                 for r in rows)
+    u = np.array([[float(r["u1"]), float(r["u2"])] for r in rows])
+    slack = u @ np.asarray(Cu, dtype=float).T - np.asarray(Du, dtype=float)
+    active = int(np.sum(np.any(slack >= -1e-9, axis=1)))
     clamps = sum(r["bound_violation"] == "1" for r in rows)
     assert active > 0
     if name == "quadrotor_desk":

@@ -10,9 +10,10 @@ import itertools
 import numpy as np
 import pytest
 
+from dpcover.controller import GainTerms
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (InputPolytope, PsdQp, TransportProblem,
-                            pseudo_inverse, solve_psd_qp, solve_transport_exact)
+from dpcover.linalg import (InputPolytope, TransportProblem, pseudo_inverse,
+                            solve_psd_qp, solve_transport_exact)
 
 
 # ---------------------------------------------------------------- pseudoinverse
@@ -62,6 +63,11 @@ def box(m, hi):
     return InputPolytope.box(hi, m)
 
 
+def quadratic(H, g):
+    """The checked objective u'Hu + 2g'u the QP solver takes."""
+    return GainTerms(D1=H, D2=g, D3=0.0)
+
+
 def test_polytope_box():
     poly = box(3, 2.0)
     assert np.array_equal(poly.Cu, np.vstack([np.eye(3), -np.eye(3)]))
@@ -91,7 +97,7 @@ def test_qp_half_plane():
     # u1 <= 1 is unbounded, so its Chebyshev LP is unbounded; not empty
     poly = InputPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert poly.Cu @ poly.interior <= poly.Du
-    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-5.0, 0.0]), poly))
+    u = solve_psd_qp(quadratic(np.eye(2), np.array([-5.0, 0.0])), poly)
     assert np.allclose(u, [1.0, 0.0], atol=1e-8)
 
 
@@ -131,21 +137,21 @@ def qp_objective(H, g, u):
 def test_qp_box_projection_case():
     H = 0.2 * np.eye(2)
     g = -0.2 * np.array([3.0, 4.0])
-    u = solve_psd_qp(PsdQp(H, g, box(2, 2.0)))
+    u = solve_psd_qp(quadratic(H, g), box(2, 2.0))
     assert np.allclose(u, [2.0, 2.0], atol=1e-8)
     _, oracle = grid_search_box(H, g, 2.0)
     assert qp_objective(H, g, u) <= oracle + 1e-6
 
 
 def test_qp_interior_optimum():
-    u = solve_psd_qp(PsdQp(np.eye(2), np.array([-1.0, 0.0]), box(2, 5.0)))
+    u = solve_psd_qp(quadratic(np.eye(2), np.array([-1.0, 0.0])), box(2, 5.0))
     assert np.allclose(u, [1.0, 0.0], atol=1e-8)
 
 
 def test_qp_flat_direction_minimum_norm():
     H = np.diag([1.0, 0.0])
     g = np.array([-1.0, 0.0])
-    u = solve_psd_qp(PsdQp(H, g, box(2, 2.0)))
+    u = solve_psd_qp(quadratic(H, g), box(2, 2.0))
     # u2 is free in the objective; the minimum-norm member is (1, 0)
     assert np.allclose(u, [1.0, 0.0], atol=1e-8)
     _, oracle = grid_search_box(H, g, 2.0)
@@ -153,15 +159,15 @@ def test_qp_flat_direction_minimum_norm():
 
 
 def test_qp_non_psd_rejected():
-    with pytest.raises(InputError):
-        PsdQp(np.diag([1.0, -1.0]), np.zeros(2), box(2, 1.0))
-    with pytest.raises(InputError):
-        PsdQp(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), box(2, 1.0))
+    with pytest.raises(InputError, match="positive semidefinite"):
+        quadratic(np.diag([1.0, -1.0]), np.zeros(2))
+    with pytest.raises(InputError, match="symmetric"):
+        quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
 
 def test_qp_polytope_columns_must_match_h():
     with pytest.raises(InputError):
-        PsdQp(np.eye(3), np.zeros(3), box(2, 1.0))
+        solve_psd_qp(quadratic(np.eye(3), np.zeros(3)), box(2, 1.0))
 
 
 def _kkt_residual(H, g, Cu, Du, u, tol=1e-6):
@@ -190,7 +196,7 @@ def test_qp_kkt_property_random(rng):
         g = rng.normal(size=m)
         poly = box(m, float(rng.uniform(0.2, 3.0)))
         Cu, Du = poly.Cu, poly.Du
-        u = solve_psd_qp(PsdQp(H, g, poly))
+        u = solve_psd_qp(quadratic(H, g), poly)
         assert np.all(Cu @ u <= Du + 1e-8)
         assert _kkt_residual(H, g, Cu, Du, u) <= 1e-6
         # no random feasible point may beat the returned objective

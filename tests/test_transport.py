@@ -135,6 +135,13 @@ def test_weight_update_excess_demand_raises():
         weight_update(np.zeros((2, 2)), np.array([0.1, 0.1]), np.zeros(2), 0.3)
 
 
+def test_weight_update_tiny_demand_on_no_mass_raises():
+    # 1e-13 is within the 1e-12 slack of zero remaining mass, but no
+    # sample-point is left to take it from
+    with pytest.raises(ExhaustionError, match="weights are zero"):
+        weight_update(np.zeros((3, 2)), np.zeros(3), np.zeros(2), 1e-13)
+
+
 def test_weight_update_matches_exact_lp(rng):
     """The greedy plan must equal the LP optimum.
 
