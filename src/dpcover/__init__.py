@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .controller import (GainTerms, convergence_check, convergence_ellipse,
                          delta_w, gain_terms, optimal_input_constrained,
                          optimal_input_unconstrained)
-from .coordination import CommConfig, share_weights, sync_round
+from .coordination import CommConfig, sync_round
 from .distribution import (MixtureSpec, SampleCloud, agent_alpha, load_points,
                            sample_mixture)
 from .dynamics import LtiSystem, make_preset, output, relative_degree, step_events

@@ -29,28 +29,21 @@ class CommConfig:
             raise InputError("latencies must be nonnegative and finite")
 
 
-def share_weights(weights_r, weights_s) -> tuple[np.ndarray, np.ndarray]:
-    """Both agents adopt the elementwise minimum of their weight vectors."""
-    weights_r = np.asarray(weights_r, dtype=float)
-    weights_s = np.asarray(weights_s, dtype=float)
-    if weights_r.shape != weights_s.shape:
-        raise InputError("weight vectors must have equal length")
-    merged = np.minimum(weights_r, weights_s)
-    return merged.copy(), merged.copy()
-
-
 def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
                cfg: CommConfig, rng: np.random.Generator | None = None,
                ) -> tuple[int, float]:
     """One synchronization round over all unordered agent pairs.
 
-    Pairs within range are processed in ascending (r, s) order; weight
-    vectors are updated in place. Returns (exchange count, simulated
-    communication time in ms). The simulated time is deterministic given
-    the rng state and never affects weights.
+    Pairs within range are processed in ascending (r, s) order, each
+    leaving both vectors at their elementwise minimum; weight vectors are
+    updated in place. Returns (exchange count, simulated communication
+    time in ms). The simulated time is deterministic given the rng state
+    and never affects weights.
     """
     if len(weight_vectors) != len(positions):
         raise InputError("one position per weight vector required")
+    if any(np.shape(w) != np.shape(weight_vectors[0]) for w in weight_vectors):
+        raise InputError("weight vectors must have equal length")
     count = 0
     sim_ms = 0.0
     n = len(weight_vectors)
@@ -59,9 +52,8 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
             if cfg.d_comm is not None:
                 if np.linalg.norm(np.asarray(positions[r]) - np.asarray(positions[s])) > cfg.d_comm:
                     continue
-            merged_r, merged_s = share_weights(weight_vectors[r], weight_vectors[s])
-            weight_vectors[r][:] = merged_r
-            weight_vectors[s][:] = merged_s
+            np.minimum(weight_vectors[r], weight_vectors[s], out=weight_vectors[r])
+            weight_vectors[s][:] = weight_vectors[r]
             count += 1
             jitter = 0.0
             if cfg.latency_jitter_ms > 0 and rng is not None:

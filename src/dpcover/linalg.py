@@ -52,8 +52,9 @@ class InputPolytope:
 
     Checked once, at construction, which keeps read-only copies of Cu and
     Du and finds `interior`, the Chebyshev centre (the centre of the
-    largest ball inside; radius capped at 1 for unbounded sets). An empty
-    polytope raises InfeasibleError.
+    largest ball inside; radius capped at 1 for unbounded sets): 0 for a
+    box |u_i| <= b, by an LP otherwise. An empty polytope raises
+    InfeasibleError.
     """
 
     Cu: np.ndarray
@@ -66,17 +67,10 @@ class InputPolytope:
         c_rows, m = Cu.shape
         if c_rows < 1 or m < 1 or Du.shape != (c_rows,) or not np.all(np.isfinite(Du)):
             raise InputError("Cu must be (c, m) with c, m >= 1 and Du finite of length c")
-        # variables (u, r): maximize r s.t. Cu u + |row of Cu| r <= Du
-        obj = np.r_[np.zeros(m), -1.0]
-        A_ub = np.hstack([Cu, np.linalg.norm(Cu, axis=1)[:, None]])
-        for r_max in (None, 1.0):  # a half-plane holds balls of any radius
-            res = linprog(obj, A_ub=A_ub, b_ub=Du,
-                          bounds=[(None, None)] * m + [(None, r_max)], method="highs")
-            if res.status != 3:  # 3: unbounded
-                break
-        if res.status != 0 or res.x[-1] < -1e-9:
-            raise InfeasibleError("constraint polytope Cu u <= Du is empty")
-        interior = res.x[:m]
+        if np.array_equal(Cu, _box_rows(m)) and Du.min() == Du.max() >= 0:
+            interior = np.zeros(m)  # the box |u_i| <= b is centred at 0
+        else:
+            interior = _chebyshev_centre(Cu, Du)
         for name, arr in (("Cu", Cu), ("Du", Du), ("interior", interior)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -84,7 +78,28 @@ class InputPolytope:
     @classmethod
     def box(cls, bound: float, m: int) -> "InputPolytope":
         """|u_i| <= bound for each of m inputs: Cu = [I; -I], Du = bound."""
-        return cls(np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, bound))
+        return cls(_box_rows(m), np.full(2 * m, bound))
+
+
+def _box_rows(m: int) -> np.ndarray:
+    return np.vstack([np.eye(m), -np.eye(m)])
+
+
+def _chebyshev_centre(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
+    """Centre of the largest ball inside Cu u <= Du, by LP; the radius is
+    capped at 1 for unbounded sets. InfeasibleError if the set is empty."""
+    m = Cu.shape[1]
+    # variables (u, r): maximize r s.t. Cu u + |row of Cu| r <= Du
+    obj = np.r_[np.zeros(m), -1.0]
+    A_ub = np.hstack([Cu, np.linalg.norm(Cu, axis=1)[:, None]])
+    for r_max in (None, 1.0):  # a half-plane holds balls of any radius
+        res = linprog(obj, A_ub=A_ub, b_ub=Du,
+                      bounds=[(None, None)] * m + [(None, r_max)], method="highs")
+        if res.status != 3:  # 3: unbounded
+            break
+    if res.status != 0 or res.x[-1] < -1e-9:
+        raise InfeasibleError("constraint polytope Cu u <= Du is empty")
+    return res.x[:m]
 
 
 def _null_space(A: np.ndarray, m: int) -> np.ndarray:

@@ -2,38 +2,59 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpcover.coordination import CommConfig, share_weights, sync_round
+from dpcover.coordination import CommConfig, sync_round
 from dpcover.errors import InputError
 
 
+def _pairwise_reference(vecs, positions, d_comm, pairs):
+    """Copies of vecs after the min rule on each in-range pair of pairs,
+    in the order given, and the number of pairs exchanged."""
+    vecs = [v.copy() for v in vecs]
+    count = 0
+    for r, s in pairs:
+        if d_comm is None or np.linalg.norm(positions[r] - positions[s]) <= d_comm:
+            vecs[r][:] = vecs[s][:] = np.minimum(vecs[r], vecs[s])
+            count += 1
+    return vecs, count
+
+
+def ascending_pairs(n):
+    return [(r, s) for r in range(n) for s in range(r + 1, n)]
+
+
 def test_share_min_rule():
-    a, b = share_weights(np.array([0.3]), np.array([0.1]))
-    assert np.allclose(a, [0.1])
-    assert np.allclose(b, [0.1])
+    vecs = [np.array([0.3, 0.0]), np.array([0.1, 0.2])]
+    count, _ = sync_round(vecs, far_apart(2), CommConfig())
+    assert count == 1
+    assert all(np.array_equal(v, [0.1, 0.0]) for v in vecs)
 
 
 def test_share_idempotent_on_identical():
     w = np.array([0.2, 0.0, 0.5])
-    a, b = share_weights(w, w.copy())
-    assert np.array_equal(a, w)
-    assert np.array_equal(b, w)
+    vecs = [w.copy(), w.copy()]
+    sync_round(vecs, far_apart(2), CommConfig())
+    assert all(np.array_equal(v, w) for v in vecs)
 
 
 def test_share_length_mismatch():
     with pytest.raises(InputError):
-        share_weights(np.zeros(2), np.zeros(3))
+        sync_round([np.zeros(2), np.zeros(3)], far_apart(2), CommConfig())
+    with pytest.raises(InputError):
+        sync_round([np.zeros(2), np.zeros(3)], far_apart(2), CommConfig(d_comm=1.0))
 
 
 def test_three_agent_rounds_reach_global_min(rng):
+    # a finite d_comm that holds all three in range
     vecs = [rng.random(10) for _ in range(3)]
     want = np.minimum.reduce(vecs)
-    # pairwise (r,s), (s,t), (r,t)
-    vecs[0], vecs[1] = share_weights(vecs[0], vecs[1])
-    vecs[1], vecs[2] = share_weights(vecs[1], vecs[2])
-    vecs[0], vecs[2] = share_weights(vecs[0], vecs[2])
+    positions = [np.array([float(i), 0.0]) for i in range(3)]
+    count, _ = sync_round(vecs, positions, CommConfig(d_comm=5.0))
+    assert count == 3
     for v in vecs:
-        assert np.allclose(v, want)
+        assert np.array_equal(v, want)
 
 
 def far_apart(n):
@@ -73,17 +94,31 @@ def test_sync_round_within_range():
 
 
 def test_sync_round_order_independence(rng):
-    vecs_a = [rng.random(20) for _ in range(4)]
-    vecs_b = [v.copy() for v in vecs_a]
+    vecs = [rng.random(20) for _ in range(4)]
     pos = far_apart(4)
-    sync_round(vecs_a, pos, CommConfig())
-    # descending order applied manually
-    n = len(vecs_b)
-    for r in reversed(range(n)):
-        for s in reversed(range(r + 1, n)):
-            vecs_b[r][:], vecs_b[s][:] = share_weights(vecs_b[r], vecs_b[s])
-    for a, b in zip(vecs_a, vecs_b):
+    want, _ = _pairwise_reference(vecs, pos, None, ascending_pairs(4)[::-1])
+    sync_round(vecs, pos, CommConfig())
+    for a, b in zip(vecs, want):
         assert np.array_equal(a, b)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.sampled_from([None, 0.5, 2.0, 100.0]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_sync_round_matches_pairwise_min_rule(n, d_comm, seed):
+    rng = np.random.default_rng(seed)
+    vecs = [rng.random(9) for _ in range(n)]
+    for v in vecs:
+        v[rng.random(9) < 0.3] = 0.0
+    positions = [rng.uniform(0.0, 3.0, size=2) for _ in range(n)]
+    want, want_count = _pairwise_reference(vecs, positions, d_comm, ascending_pairs(n))
+    count, _ = sync_round(vecs, positions, CommConfig(d_comm=d_comm))
+    assert count == want_count
+    if d_comm is None:
+        assert count == n * (n - 1) // 2
+    for a, b in zip(vecs, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sync_round_monotone_and_idempotent(rng):

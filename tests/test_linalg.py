@@ -12,8 +12,8 @@ import pytest
 
 from dpcover.controller import GainTerms
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (InputPolytope, TransportProblem, pseudo_inverse,
-                            solve_psd_qp, solve_transport_exact)
+from dpcover.linalg import (InputPolytope, TransportProblem, _chebyshev_centre,
+                            pseudo_inverse, solve_psd_qp, solve_transport_exact)
 
 
 # ---------------------------------------------------------------- pseudoinverse
@@ -73,6 +73,15 @@ def test_polytope_box():
     assert np.array_equal(poly.Cu, np.vstack([np.eye(3), -np.eye(3)]))
     assert np.array_equal(poly.Du, np.full(6, 2.0))
     assert np.all(poly.Cu @ poly.interior <= poly.Du)
+    assert np.array_equal(poly.interior, np.zeros(3))
+    assert np.array_equal(poly.interior, _chebyshev_centre(poly.Cu, poly.Du))
+
+
+def test_polytope_box_empty_or_off_centre_takes_the_lp():
+    with pytest.raises(InfeasibleError):
+        box(2, -1.0)
+    shifted = InputPolytope(np.vstack([np.eye(2), -np.eye(2)]), [3.0, 3.0, 1.0, 1.0])
+    assert np.allclose(shifted.interior, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("Cu, Du", [

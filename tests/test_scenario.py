@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcover import cli
+from dpcover import cli, linalg
 from dpcover.errors import ScenarioError
 from dpcover.linalg import TRANSPORT_SIZE_CAP
 from dpcover.scenario import build_scenario, load_scenario
@@ -118,6 +118,25 @@ def test_u_max_expands_to_box():
     assert np.allclose(Du, 5.0)
     assert np.all(Cu @ np.array([5.0, -5.0]) <= Du + 1e-12)
     assert np.any(Cu @ np.array([5.1, 0.0]) > Du)
+
+
+def test_box_constraints_solve_no_lp_at_load(monkeypatch):
+    """The quadrotor preset's tau_max box and the scenario's u_max box are
+    centred at 0 without a Chebyshev LP."""
+    calls = []
+    real_linprog = linalg.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "linprog", counting)
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "quadrotor_desk.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["input_constraints"] = {"u_max": 50}
+    sc = build_scenario(doc, base_dir=path.parent)
+    assert sc.input_constraints is not None and len(sc.systems) > 1
+    assert calls == []
 
 
 def test_explicit_cu_du():

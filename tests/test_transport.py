@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcover.errors import ExhaustionError, InputError
 from dpcover.linalg import TransportProblem, solve_transport_exact
-from dpcover.transport import (LocalSelection, global_wasserstein,
+from dpcover.transport import (_PREFIX_GROWTH, _PREFIX_START, LocalSelection,
+                               _fill_nearest, global_wasserstein,
                                local_wasserstein, select_local_samples,
                                weight_update)
 
@@ -264,3 +265,59 @@ def test_selection_mass_never_exceeds_supply(n, seed):
     sel = select_local_samples(weights, positions, np.zeros(2), alpha)
     assert sel.total_mass <= min(alpha, weights.sum()) + 1e-12
     assert sel.exhausted == (weights.sum() < alpha - 1e-15)
+
+
+def _fill_full_sort(weights, candidates, keys, demand):
+    """The greedy fill over the full stable order of the keys."""
+    order = candidates[np.argsort(keys, kind="stable")]
+    avail = weights[order]
+    cum = np.cumsum(avail)
+    exhausted = cum[-1] < demand - 1e-15
+    n_take = avail.size if exhausted else int(np.searchsorted(cum, demand - 1e-15)) + 1
+    taken = avail[:n_take].copy()
+    if not exhausted:
+        taken[-1] = demand - (cum[n_take - 1] - avail[n_take - 1])
+    return order[:n_take], taken, exhausted
+
+
+DEEP = _PREFIX_START * _PREFIX_GROWTH ** 2  # past two prefix growths
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from([1, 5, _PREFIX_START - 1, _PREFIX_START, _PREFIX_START + 1,
+                        300, DEEP + 50, 5975]),
+       st.sampled_from(["real", "integer", "equal"]),
+       st.sampled_from(["below_first", "at_boundary", "deep", "random", "above_total"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(5975, "integer", "deep", 0)
+@example(5975, "equal", "at_boundary", 1)
+@example(DEEP + 50, "real", "deep", 2)
+@example(_PREFIX_START - 1, "integer", "above_total", 3)
+@example(300, "equal", "below_first", 4)
+def test_fill_nearest_matches_full_stable_sort(n, key_kind, demand_kind, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n + 7) / n
+    weights[rng.choice(n + 7, size=7, replace=False)] = 0.0  # not candidates
+    candidates = np.flatnonzero(weights > 0)
+    keys = {"real": lambda: rng.random(n),
+            "integer": lambda: rng.integers(0, 4, size=n).astype(float),
+            "equal": lambda: np.full(n, 2.5)}[key_kind]()
+    avail = weights[candidates[np.argsort(keys, kind="stable")]]
+    cum = np.cumsum(avail)
+    if demand_kind == "below_first":
+        demand = 0.5 * avail[0]
+    elif demand_kind == "at_boundary":
+        demand = float(cum[rng.integers(n)])
+    elif demand_kind == "deep":
+        demand = float(cum[rng.integers(min(DEEP, n - 1), n)])
+    elif demand_kind == "random":
+        demand = float(rng.uniform(0.0, cum[-1]))
+    else:
+        demand = 1.5 * float(cum[-1])
+    idx, taken, exhausted = _fill_nearest(weights, candidates, keys, demand)
+    want_idx, want_taken, want_exhausted = _fill_full_sort(weights, candidates, keys, demand)
+    assert np.array_equal(idx, want_idx)
+    assert taken.tobytes() == want_taken.tobytes()
+    assert exhausted == want_exhausted == (demand_kind == "above_total")
+    if demand_kind == "deep" and n > DEEP:
+        assert idx.size > DEEP
