@@ -92,6 +92,8 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
         _write_csv(out_dir / "gains.csv",
                    ["agent", "k", "d1_11", "d1_12", "d1_22", "d2_1", "d2_2",
                     "d3", "u1", "u2", "uu1", "uu2"], gain_rows)
+    else:  # not left over from an earlier run into the same directory
+        (out_dir / "gains.csv").unlink(missing_ok=True)
 
 
 def cmd_run(args) -> int:
@@ -172,6 +174,8 @@ def cmd_plot(args) -> int:
                 svg = plot_series({0: (np.asarray(ks), np.asarray(ws))},
                                   "Global 2-Wasserstein distance", "W2")
         elif args.kind == "ellipses":
+            if not (out_dir / "gains.csv").exists():
+                raise InputError("no gains.csv: it is written only for 2-input runs")
             header, rows = _read_csv(out_dir / "gains.csv")
             cols = {c: header.index(c) for c in header}
             agents = sorted({int(r[cols["agent"]]) for r in rows})

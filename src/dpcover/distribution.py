@@ -1,8 +1,9 @@
-"""Reference point clouds and mass bookkeeping.
+"""Reference point clouds and the per-step agent-point mass.
 
 A SampleCloud holds the reference positions q_j and their normalized
 initial weights; the engine gives each agent its own mutable copy of the
-weight vector at run start.
+weight vector at run start, and transport.weight_update owns the rule
+that keeps each copy's weights 0 or at least transport.WEIGHT_SNAP.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ import numpy as np
 
 from .errors import InputError
 
-# weights below this are snapped to exactly zero so the "weight > 0"
-# selection predicate stays stable under roundoff
-WEIGHT_SNAP = 1e-12
 MAX_DRAWS_PER_SAMPLE = 1000  # rejection-sampling budget per requested sample
 
 
@@ -172,8 +170,3 @@ def agent_alpha(agent_budgets) -> float:
         raise InputError("budgets must be integers >= 1")
     return 1.0 / sum(int(m) for m in budgets)
 
-
-def snap_small_weights(w: np.ndarray) -> np.ndarray:
-    """Zero out weights below the snap threshold, in place."""
-    w[w < WEIGHT_SNAP] = 0.0
-    return w

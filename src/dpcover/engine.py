@@ -18,7 +18,7 @@ import numpy as np
 
 from . import controller, coordination, dynamics, linalg, transport
 from .coordination import CommConfig
-from .distribution import SampleCloud, agent_alpha, snap_small_weights
+from .distribution import SampleCloud, agent_alpha
 from .dynamics import LtiSystem
 from .errors import InputError
 
@@ -148,7 +148,6 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
     plan = transport.weight_update(positions, ctx.weights, y_new,
                                    min(alpha_used, remaining))
     ctx.weights -= plan.gammas
-    snap_small_weights(ctx.weights)
     stage_b_ms = (time.perf_counter() - t1) * 1e3
 
     ctx.x = x_new
@@ -203,7 +202,7 @@ def run(scenario: Scenario) -> RunResult:
                         if r is not None]
 
         t2 = time.perf_counter()
-        # each vector is snapped by its stage B; minima of snapped ones stay so
+        # stage B leaves each weight 0 or >= WEIGHT_SNAP; minima keep that
         count, sim_ms = coordination.sync_round(
             [a.weights for a in agents], [a.y for a in agents],
             scenario.comm, rng)

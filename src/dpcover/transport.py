@@ -1,7 +1,8 @@
 """Optimal-transport primitives of the control loop.
 
 Local sample-point selection by weight-normalized Euclidean distance,
-mass centers, the greedy nearest-first weight update, and 2-Wasserstein
+mass centers, the greedy nearest-first weight update (the one owner of the
+rule that every weight is 0 or at least WEIGHT_SNAP), and 2-Wasserstein
 diagnostics between weighted clouds.
 """
 
@@ -42,11 +43,21 @@ class TransportPlan:
     gammas: np.ndarray
 
 
-# first prefix of keys _fill_nearest ranks, and the factor it grows by while
-# the ranked prefix holds less than the demand; a claim of alpha takes a few
-# samples (at most 16 in the benchmark workloads), so 64 nearly always holds it
-_PREFIX_START = 64
-_PREFIX_GROWTH = 4
+# no weight is left below this but above 0: "weight > 0" is roundoff-stable
+WEIGHT_SNAP = 1e-12
+
+# keys _fill_nearest ranks before it falls back to the full order; a claim
+# of alpha takes a few samples (at most 16 in the benchmark workloads)
+_PREFIX = 64
+
+
+def _candidates(weights, positions, center):
+    """(candidates, d2): indices of the positive weights and their squared
+    distances to center. Raises ExhaustionError when no weight is left."""
+    candidates = np.flatnonzero(weights > 0)
+    if candidates.size == 0:
+        raise ExhaustionError("all sample-point weights are zero")
+    return candidates, np.sum((positions[candidates] - center) ** 2, axis=1)
 
 
 def _fill_nearest(weights, candidates, keys, demand: float):
@@ -54,32 +65,26 @@ def _fill_nearest(weights, candidates, keys, demand: float):
     index, each taken whole and the last partially until demand is met, or
     all of them whole (exhausted) when they hold less than demand.
 
-    Only a tie-closed prefix is ranked: every key <= the k-th smallest,
-    found by np.partition, sorted stably from ascending index order. That
-    is exactly the head of the full stable order, and cumsum runs left to
-    right, so the result equals that of the full stable argsort bit for
-    bit. k grows by _PREFIX_GROWTH until the prefix holds the demand; from
-    k >= len(keys) on, the full order is ranked.
+    First only a tie-closed prefix is ranked: every key <= the _PREFIX-th
+    smallest, found by np.partition, sorted stably from ascending index
+    order. That is exactly the head of the full stable order, and cumsum
+    runs left to right, so when the prefix holds the demand the result
+    equals that of the full stable argsort bit for bit; otherwise the full
+    order is ranked.
     """
     target = demand - 1e-15
-    k = _PREFIX_START
-    while True:
-        if k < keys.size:
-            head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
-            rank = head[np.argsort(keys[head], kind="stable")]
-        else:
-            rank = np.argsort(keys, kind="stable")
-        order = candidates[rank]
-        avail = weights[order]
-        cum = np.cumsum(avail)
-        if cum[-1] >= target or rank.size == keys.size:
-            break
-        k *= _PREFIX_GROWTH
+    if keys.size > _PREFIX:
+        head = np.flatnonzero(keys <= np.partition(keys, _PREFIX - 1)[_PREFIX - 1])
+        order = candidates[head[np.argsort(keys[head], kind="stable")]]
+        cum = np.cumsum(weights[order])
+    if keys.size <= _PREFIX or cum[-1] < target:
+        order = candidates[np.argsort(keys, kind="stable")]
+        cum = np.cumsum(weights[order])
     exhausted = cum[-1] < target
-    n_take = avail.size if exhausted else int(np.searchsorted(cum, target)) + 1
-    taken = avail[:n_take].copy()
+    n_take = order.size if exhausted else int(np.searchsorted(cum, target)) + 1
+    taken = weights[order[:n_take]]
     if not exhausted:
-        taken[-1] = demand - (cum[n_take - 1] - avail[n_take - 1])
+        taken[-1] = demand - (cum[n_take - 1] - taken[-1])
     return order[:n_take], taken, exhausted
 
 
@@ -95,10 +100,8 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     prev_center = np.asarray(prev_center, dtype=float).reshape(2)
     if alpha <= 0:
         raise InputError("alpha must be positive")
-    candidates = np.nonzero(weights > 0)[0]
-    if candidates.size == 0:
-        raise ExhaustionError("all sample-point weights are zero")
-    keys = np.linalg.norm(positions[candidates] - prev_center, axis=1) / weights[candidates]
+    candidates, d2 = _candidates(weights, positions, prev_center)
+    keys = np.sqrt(d2) / weights[candidates]
     idx, taken, exhausted = _fill_nearest(weights, candidates, keys, alpha)
     keep = taken > 0
     idx, taken = idx[keep], taken[keep]
@@ -114,7 +117,8 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     The LP (minimize sum gamma_j ||y - q_j||^2 s.t. 0 <= gamma <= beta,
     sum gamma = alpha_next) is solved by its greedy closed form: fill
     gamma_j = min(beta_j, remaining demand) in ascending squared distance,
-    ties broken by ascending index.
+    ties broken by ascending index. A last take that would leave less than
+    WEIGHT_SNAP takes the weight whole: weights - gammas keeps the rule.
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -126,12 +130,10 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
         return TransportPlan(gammas)
     if alpha_next > weights.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
-    candidates = np.nonzero(weights > 0)[0]
-    if candidates.size == 0:  # a demand within the 1e-12 slack of no mass
-        raise ExhaustionError("all sample-point weights are zero")
-    d2 = np.sum((positions[candidates] - agent_pos) ** 2, axis=1)
+    candidates, d2 = _candidates(weights, positions, agent_pos)
     idx, fill, _ = _fill_nearest(weights, candidates, d2, alpha_next)
-    fill[-1] = min(fill[-1], weights[idx[-1]])
+    if weights[idx[-1]] - fill[-1] < WEIGHT_SNAP:
+        fill[-1] = weights[idx[-1]]
     gammas[idx] = fill
     return TransportPlan(gammas)
 

@@ -191,6 +191,24 @@ def test_ellipses_rank_deficient_step():
     assert plot_ellipses(steps(1.0)).count("stroke-dasharray") == 1
 
 
+def test_single_input_run_removes_stale_gains(tmp_path, capsys):
+    out = tmp_path / "out"
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(first_order_doc(m_steps=4)))
+    assert run_cli("run", "--scenario", two, "--out", out) == 0
+    assert (out / "gains.csv").exists()
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(first_order_doc(
+        m_steps=4, system={"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0], [1.0]],
+                           "C": [[1.0, 0.0], [0.0, 1.0]], "dt": 0.1})))
+    assert run_cli("run", "--scenario", one, "--out", out) == 0
+    assert not (out / "gains.csv").exists()
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", "ellipses") == 1
+    assert "written only for 2-input runs" in capsys.readouterr().err
+    assert not (out / "ellipses.svg").exists()
+
+
 def test_plot_missing_csvs_fails(tmp_path):
     assert run_cli("plot", "--out", tmp_path / "nope", "--kind", "deltaw") != 0
     assert not (tmp_path / "nope" / "deltaw.svg").exists()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dpcover.distribution import (MixtureSpec, SampleCloud, agent_alpha,
-                                  load_points, sample_mixture,
-                                  snap_small_weights)
+                                  load_points, sample_mixture)
 from dpcover.errors import InputError
 
 
@@ -147,10 +146,3 @@ def test_cloud_invariants():
     with pytest.raises(InputError):
         SampleCloud(positions=np.zeros((2, 2)), weights=np.array([1.1, -0.1]))
 
-
-def test_snap_small_weights():
-    w = np.array([0.5, 1e-13, 0.0, 1e-11])
-    snap_small_weights(w)
-    assert w[1] == 0.0
-    assert w[3] == 1e-11  # above the snap threshold, untouched
-    assert w[0] == 0.5

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpcover.errors import ExhaustionError, InputError
 from dpcover.linalg import TransportProblem, solve_transport_exact
-from dpcover.transport import (_PREFIX_GROWTH, _PREFIX_START, LocalSelection,
+from dpcover.transport import (_PREFIX, WEIGHT_SNAP, LocalSelection,
                                _fill_nearest, global_wasserstein,
                                local_wasserstein, select_local_samples,
                                weight_update)
@@ -141,6 +141,34 @@ def test_weight_update_tiny_demand_on_no_mass_raises():
     # sample-point is left to take it from
     with pytest.raises(ExhaustionError, match="weights are zero"):
         weight_update(np.zeros((3, 2)), np.zeros(3), np.zeros(2), 1e-13)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=150),
+       st.sampled_from(["cum_minus", "cum", "random", "total"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(3, "cum_minus", 0)
+@example(_PREFIX + 20, "cum_minus", 1)
+def test_weight_update_leaves_no_sub_snap_residue(n, demand_kind, seed):
+    """weights - gammas is 0 or at least WEIGHT_SNAP, never negative."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-5, 5, size=(n, 2))
+    weights = rng.random(n) / n
+    weights[rng.random(n) < 0.2] = 0.0
+    if not weights.any():
+        weights[0] = 1.0 / n
+    y = rng.uniform(-5, 5, 2)
+    d2 = np.sum((positions - y) ** 2, axis=1)
+    live = np.flatnonzero(weights > 0)
+    cum = np.cumsum(weights[live[np.argsort(d2[live], kind="stable")]])
+    i = int(rng.integers(cum.size))
+    demand = {"cum_minus": lambda: cum[i] - 1e-13,
+              "cum": lambda: cum[i],
+              "random": lambda: rng.uniform(0.0, cum[-1]),
+              "total": lambda: cum[-1]}[demand_kind]()
+    left = weights - weight_update(positions, weights, y, float(demand)).gammas
+    assert not np.any(left < 0)
+    assert not np.any((left > 0) & (left < WEIGHT_SNAP))
 
 
 def test_weight_update_matches_exact_lp(rng):
@@ -280,11 +308,11 @@ def _fill_full_sort(weights, candidates, keys, demand):
     return order[:n_take], taken, exhausted
 
 
-DEEP = _PREFIX_START * _PREFIX_GROWTH ** 2  # past two prefix growths
+DEEP = 16 * _PREFIX  # far past the ranked prefix
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.sampled_from([1, 5, _PREFIX_START - 1, _PREFIX_START, _PREFIX_START + 1,
+@given(st.sampled_from([1, 5, _PREFIX - 1, _PREFIX, _PREFIX + 1,
                         300, DEEP + 50, 5975]),
        st.sampled_from(["real", "integer", "equal"]),
        st.sampled_from(["below_first", "at_boundary", "deep", "random", "above_total"]),
@@ -292,7 +320,7 @@ DEEP = _PREFIX_START * _PREFIX_GROWTH ** 2  # past two prefix growths
 @example(5975, "integer", "deep", 0)
 @example(5975, "equal", "at_boundary", 1)
 @example(DEEP + 50, "real", "deep", 2)
-@example(_PREFIX_START - 1, "integer", "above_total", 3)
+@example(_PREFIX - 1, "integer", "above_total", 3)
 @example(300, "equal", "below_first", 4)
 def test_fill_nearest_matches_full_stable_sort(n, key_kind, demand_kind, seed):
     rng = np.random.default_rng(seed)
