@@ -94,6 +94,8 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                     "d3", "u1", "u2", "uu1", "uu2"], gain_rows)
     else:  # not left over from an earlier run into the same directory
         (out_dir / "gains.csv").unlink(missing_ok=True)
+    for kind in PLOT_KINDS:  # plots of the earlier run's CSVs
+        (out_dir / f"{kind}.svg").unlink(missing_ok=True)
 
 
 def cmd_run(args) -> int:

@@ -1,8 +1,10 @@
 """Pairwise weight sharing among agents within communication range.
 
 Agents in range synchronize each sample-point weight to the elementwise
-minimum of their two views. The optional latency model only feeds the
-reported overhead metric; it never touches simulation state.
+minimum of their two views. The optional latency model only sums a
+simulated time, which sync_round returns and the engine keeps as
+StepRecord.comm_sim_ms; no output file has a column for it. It never
+touches simulation state.
 """
 
 from __future__ import annotations

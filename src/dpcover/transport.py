@@ -1,9 +1,9 @@
 """Optimal-transport primitives of the control loop.
 
-Local sample-point selection by weight-normalized Euclidean distance,
-mass centers, the greedy nearest-first weight update (the one owner of the
-rule that every weight is 0 or at least WEIGHT_SNAP), and 2-Wasserstein
-diagnostics between weighted clouds.
+Local sample-point selection by weight-normalized Euclidean distance and
+the greedy nearest-first weight update (the one owner of the rule that
+every weight is 0 or at least WEIGHT_SNAP), both one greedy fill over the
+cloud's own sample indices, and 2-Wasserstein diagnostics between clouds.
 """
 
 from __future__ import annotations
@@ -51,34 +51,32 @@ WEIGHT_SNAP = 1e-12
 _PREFIX = 64
 
 
-def _candidates(weights, positions, center):
-    """(candidates, d2): indices of the positive weights and their squared
-    distances to center. Raises ExhaustionError when no weight is left."""
-    candidates = np.flatnonzero(weights > 0)
-    if candidates.size == 0:
-        raise ExhaustionError("all sample-point weights are zero")
-    return candidates, np.sum((positions[candidates] - center) ** 2, axis=1)
+def _fill_nearest(weights, keys, demand: float):
+    """(indices, taken, exhausted): the live samples (weight > 0) in
+    ascending key, ties by index, each taken whole and the last partially
+    until demand is met, or all of them whole (exhausted) when they hold
+    less than demand; ExhaustionError if none is live. A spent sample is
+    keyed NaN, which numpy ranks after every live key, +inf included.
 
-
-def _fill_nearest(weights, candidates, keys, demand: float):
-    """(indices, taken, exhausted): candidates in ascending key, ties by
-    index, each taken whole and the last partially until demand is met, or
-    all of them whole (exhausted) when they hold less than demand.
-
-    First only a tie-closed prefix is ranked: every key <= the _PREFIX-th
-    smallest, found by np.partition, sorted stably from ascending index
-    order. That is exactly the head of the full stable order, and cumsum
-    runs left to right, so when the prefix holds the demand the result
-    equals that of the full stable argsort bit for bit; otherwise the full
-    order is ranked.
+    First only the tie-closed prefix of the k = min(_PREFIX, live count)
+    smallest keys is ranked (np.partition), sorted stably from ascending
+    index order: exactly the head of the full stable order, so when it
+    holds the demand its cumsum and the result equal those of the full
+    stable argsort bit for bit. Otherwise the whole cloud is sorted and
+    its first live-count entries are ranked.
     """
+    live = weights > 0
+    n_live = np.count_nonzero(live)
+    if n_live == 0:
+        raise ExhaustionError("all sample-point weights are zero")
+    keys = np.where(live, keys, np.nan)
     target = demand - 1e-15
-    if keys.size > _PREFIX:
-        head = np.flatnonzero(keys <= np.partition(keys, _PREFIX - 1)[_PREFIX - 1])
-        order = candidates[head[np.argsort(keys[head], kind="stable")]]
-        cum = np.cumsum(weights[order])
-    if keys.size <= _PREFIX or cum[-1] < target:
-        order = candidates[np.argsort(keys, kind="stable")]
+    k = min(_PREFIX, n_live)
+    head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
+    order = head[np.argsort(keys[head], kind="stable")]
+    cum = np.cumsum(weights[order])
+    if cum[-1] < target:
+        order = np.argsort(keys, kind="stable")[:n_live]
         cum = np.cumsum(weights[order])
     exhausted = cum[-1] < target
     n_take = order.size if exhausted else int(np.searchsorted(cum, target)) + 1
@@ -86,6 +84,11 @@ def _fill_nearest(weights, candidates, keys, demand: float):
     if not exhausted:
         taken[-1] = demand - (cum[n_take - 1] - taken[-1])
     return order[:n_take], taken, exhausted
+
+
+def _squared_distances(points, center):
+    d = points - np.asarray(center, dtype=float).reshape(2)
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
 
 
 def select_local_samples(weights, positions, prev_center, alpha: float) -> LocalSelection:
@@ -97,12 +100,11 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     """
     weights = np.asarray(weights, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    prev_center = np.asarray(prev_center, dtype=float).reshape(2)
-    if alpha <= 0:
+    if not alpha > 0:
         raise InputError("alpha must be positive")
-    candidates, d2 = _candidates(weights, positions, prev_center)
-    keys = np.sqrt(d2) / weights[candidates]
-    idx, taken, exhausted = _fill_nearest(weights, candidates, keys, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.sqrt(_squared_distances(positions, prev_center)) / weights
+    idx, taken, exhausted = _fill_nearest(weights, keys, alpha)
     keep = taken > 0
     idx, taken = idx[keep], taken[keep]
     pts = positions[idx]
@@ -122,16 +124,15 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    agent_pos = np.asarray(agent_pos, dtype=float).reshape(2)
-    if alpha_next < 0:
+    if not alpha_next >= 0:
         raise InputError("alpha_next must be nonnegative")
     gammas = np.zeros_like(weights)
     if alpha_next == 0:
         return TransportPlan(gammas)
     if alpha_next > weights.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
-    candidates, d2 = _candidates(weights, positions, agent_pos)
-    idx, fill, _ = _fill_nearest(weights, candidates, d2, alpha_next)
+    idx, fill, _ = _fill_nearest(weights, _squared_distances(positions, agent_pos),
+                                 alpha_next)
     if weights[idx[-1]] - fill[-1] < WEIGHT_SNAP:
         fill[-1] = weights[idx[-1]]
     gammas[idx] = fill
@@ -142,9 +143,7 @@ def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
     """sqrt(sum of claimed mass times squared distance to the agent)."""
     if selection.taken.size == 0:
         raise InputError("empty selection")
-    agent_pos = np.asarray(agent_pos, dtype=float).reshape(2)
-    d2 = np.sum((selection.points - agent_pos) ** 2, axis=1)
-    return float(np.sqrt(selection.taken @ d2))
+    return float(np.sqrt(selection.taken @ _squared_distances(selection.points, agent_pos)))
 
 
 def _systematic_subsample(points: np.ndarray, weights: np.ndarray,

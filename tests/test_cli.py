@@ -209,6 +209,20 @@ def test_single_input_run_removes_stale_gains(tmp_path, capsys):
     assert not (out / "ellipses.svg").exists()
 
 
+def test_run_removes_plots_of_the_earlier_run(tmp_path):
+    out = tmp_path / "out"
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(first_order_doc(m_steps=4)))
+    assert run_cli("run", "--scenario", first, "--out", out) == 0
+    for kind in cli.PLOT_KINDS:
+        assert run_cli("plot", "--out", out, "--kind", kind) == 0
+    assert len(list(out.glob("*.svg"))) == len(cli.PLOT_KINDS)
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(first_order_doc(m_steps=6, seed=5)))
+    assert run_cli("run", "--scenario", second, "--out", out) == 0
+    assert not list(out.glob("*.svg"))
+
+
 def test_plot_missing_csvs_fails(tmp_path):
     assert run_cli("plot", "--out", tmp_path / "nope", "--kind", "deltaw") != 0
     assert not (tmp_path / "nope" / "deltaw.svg").exists()

@@ -1,11 +1,14 @@
-"""Byte-level pins of the CSV outputs of three small constrained runs.
+"""Byte-level pins of the CSV outputs of four small constrained runs, and
+of the four SVG plots of the default-scenario run.
 
 A change meant to keep behaviour must keep every one of these bytes. All
 documents drive the active-set QP: the counts checked beside the digests
 show that the pinned bytes cover steps where an input constraint binds,
-and (for the quadrotor) where the state bounds clamp. Two polytopes are
+and (for the quadrotor) where the state bounds clamp. Three polytopes are
 boxes centred at 0; the triangle's Chebyshev centre is (0.268, -0.232),
-so its active set starts away from the origin.
+so its active set starts away from the origin. The desk runs end with
+fewer than 64 samples left in a weight vector; the default-scenario run
+ranks a 5 975-sample cloud for three agents.
 """
 
 import csv
@@ -23,8 +26,8 @@ CSVS = ("trajectories.csv", "metrics.csv", "global_w.csv", "gains.csv",
         "reference.csv")
 
 
-def _desk(name: str, **extra) -> dict:
-    """A checked-in desk scenario cut to 200 steps per agent and W2 on
+def _cut(name: str, **extra) -> dict:
+    """A checked-in scenario cut to 200 steps per agent and W2 on
     100-point clouds."""
     doc = json.loads((SCENARIO_DIR / name).read_text())
     for agent in doc["agents"]:
@@ -41,10 +44,11 @@ def _box(bound: float) -> tuple[list, list]:
 
 TRIANGLE = {"Cu": [[1, 0], [0, 1], [-1, -1]], "Du": [1, 0.5, 1]}
 
-# name -> (document, its input polytope (Cu, Du), SHA-256 of each CSV)
+# name -> (document, its input polytope (Cu, Du), SHA-256 of each CSV and
+# of each plot rendered)
 GOLDEN = {
     "quadrotor_desk": (
-        _desk("quadrotor_desk.json"), _box(100.0), {
+        _cut("quadrotor_desk.json"), _box(100.0), {
             "trajectories.csv": "f6b19d09d697e2042c90aa3eb1606012f2e8f09e72fc3757de859287012902d4",
             "metrics.csv": "167ada47f9cb2bafa8e0d55555d646984d24d67fca974d31f0baa6d63c63afdc",
             "global_w.csv": "2a87c19266f90fefdb86544ebea7cd5ab07a8d06ce294aa84620eded1d30a588",
@@ -52,7 +56,7 @@ GOLDEN = {
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
         }),
     "first_order_desk_u_max_1": (
-        _desk("first_order_desk.json", input_constraints={"u_max": 1.0}), _box(1.0), {
+        _cut("first_order_desk.json", input_constraints={"u_max": 1.0}), _box(1.0), {
             "trajectories.csv": "eac1720740e733216e09c52f9fcbd187212f179497c0a9b9b9dd8100fb7fc3a6",
             "metrics.csv": "277380935a713fc04b7139d2af3041f8f46d7d52e219d85a0dd6c654cdc8c257",
             "global_w.csv": "a90c4f5f099bd21ef68d64f131d2cd0bbf35457cbb548d1bce6e640432626fa5",
@@ -60,13 +64,25 @@ GOLDEN = {
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
         }),
     "first_order_desk_triangle": (
-        _desk("first_order_desk.json", input_constraints=TRIANGLE),
+        _cut("first_order_desk.json", input_constraints=TRIANGLE),
         (TRIANGLE["Cu"], TRIANGLE["Du"]), {
             "trajectories.csv": "1a8caf64289039ef441fec92eb59e8b5faec034dd103910220acaddd5226005e",
             "metrics.csv": "3247b282afb999ae4ba8fe4eabe5fe1d1624d457f747d1c86048e4ff8bae1fb7",
             "global_w.csv": "68df338dd92705221e33889fe8c02def5263bb28cfbad7caefabda43f3a77538",
             "gains.csv": "d96cc48aacdfe4c76e043bbb2c5154ecc33b588b555e9bfbc049ad62a19e5dde",
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
+        }),
+    "first_order_default": (
+        _cut("first_order_default.json"), _box(5.0), {
+            "trajectories.csv": "2e6caa3042ea15ad93b9884de186a26437873289572ec38d0ee02f0b6af2d290",
+            "metrics.csv": "09467fa4d5793ed5f53112cf6cc909f79a3ae6e9f1828a1e7f4e57bfd3cabb36",
+            "global_w.csv": "687503829ab165ca0abebd2d98aaef903b0dc48a3b0dad7953b37e16e13b61ef",
+            "gains.csv": "1cad1d66b7d6b624ab7fcfb56ab28fda8918336d7a04244c58f74679bf3032a2",
+            "reference.csv": "e942941b4c7d1dd5b08245718e8df2a5011ef002eb6133fa92230cdbc59e65a3",
+            "trajectories.svg": "f95c8460c0e1c866762e4004a0bf1c328a7ffe0fcc89a4a8ff5d3e0c225a1228",
+            "deltaw.svg": "21527d4f2273aae2235e67311e1baaaee3a7a365b4158c780aa6911e532a4943",
+            "ellipses.svg": "55773d9174d784de530881577e8641d937802f717c37bd657ceaf951cc904be2",
+            "globalw.svg": "e11d2194ae87e9e471a862ab59e3199ecbfcdebed15db686c5d56800ce350510",
         }),
 }
 
@@ -89,5 +105,9 @@ def test_constrained_run_outputs_are_pinned(name, tmp_path):
     if name == "quadrotor_desk":
         assert clamps > 0
 
-    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in CSVS}
+    plots = [f"{kind}.svg" for kind in cli.PLOT_KINDS if f"{kind}.svg" in digests]
+    for f in plots:
+        assert cli.main(["plot", "--kind", f[:-4], "--out", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in (*CSVS, *plots)}
     assert got == digests

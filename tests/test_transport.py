@@ -70,6 +70,13 @@ def test_selection_all_zero_weights_is_exhaustion_signal():
         select_local_samples(np.zeros(3), np.zeros((3, 2)), np.zeros(2), 0.1)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan])
+def test_selection_rejects_a_demand_not_positive(alpha, rng):
+    with pytest.raises(InputError, match="alpha must be positive"):
+        select_local_samples(np.full(100, 0.01), rng.uniform(-5, 5, size=(100, 2)),
+                             np.zeros(2), alpha)
+
+
 def test_selection_scaling_invariance(rng):
     positions = rng.uniform(-5, 5, size=(12, 2))
     weights = rng.random(12) / 12
@@ -115,6 +122,13 @@ def test_weight_update_hand_example():
 def test_weight_update_zero_demand():
     plan = weight_update(np.zeros((3, 2)), np.full(3, 0.1), np.zeros(2), 0.0)
     assert np.all(plan.gammas == 0.0)
+
+
+@pytest.mark.parametrize("alpha_next", [-0.1, np.nan])
+def test_weight_update_rejects_a_negative_demand(alpha_next, rng):
+    with pytest.raises(InputError, match="alpha_next must be nonnegative"):
+        weight_update(rng.uniform(-5, 5, size=(100, 2)), np.full(100, 0.01),
+                      np.zeros(2), alpha_next)
 
 
 def test_weight_update_forced_single_point():
@@ -314,38 +328,64 @@ DEEP = 16 * _PREFIX  # far past the ranked prefix
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.sampled_from([1, 5, _PREFIX - 1, _PREFIX, _PREFIX + 1,
                         300, DEEP + 50, 5975]),
-       st.sampled_from(["real", "integer", "equal"]),
+       st.sampled_from(["real", "integer", "equal", "half_inf"]),
        st.sampled_from(["below_first", "at_boundary", "deep", "random", "above_total"]),
+       st.sampled_from(["seven", "mostly"]),
+       st.sampled_from(["nan", "inf", "-inf", "below_live"]),
        st.integers(min_value=0, max_value=2**32 - 1))
-@example(5975, "integer", "deep", 0)
-@example(5975, "equal", "at_boundary", 1)
-@example(DEEP + 50, "real", "deep", 2)
-@example(_PREFIX - 1, "integer", "above_total", 3)
-@example(300, "equal", "below_first", 4)
-def test_fill_nearest_matches_full_stable_sort(n, key_kind, demand_kind, seed):
+@example(5975, "integer", "deep", "seven", "nan", 0)
+@example(5975, "equal", "at_boundary", "seven", "-inf", 1)
+@example(DEEP + 50, "real", "deep", "seven", "below_live", 2)
+@example(_PREFIX - 1, "integer", "above_total", "seven", "inf", 3)
+@example(300, "equal", "below_first", "seven", "nan", 4)
+@example(5975, "real", "random", "mostly", "below_live", 5)
+@example(5975, "integer", "above_total", "mostly", "-inf", 6)
+@example(5975, "half_inf", "above_total", "mostly", "inf", 7)
+@example(300, "half_inf", "random", "seven", "inf", 8)
+def test_fill_nearest_matches_full_stable_sort(n, key_kind, demand_kind, spent,
+                                               spent_key, seed):
+    """n live samples among 7 spent ones, or ("mostly" spent) fewer than
+    _PREFIX live among n; every spent sample carries a key that would rank
+    it first, tie it with a live +inf key or poison the order, were it not
+    ranked after every live sample."""
     rng = np.random.default_rng(seed)
-    weights = rng.random(n + 7) / n
-    weights[rng.choice(n + 7, size=7, replace=False)] = 0.0  # not candidates
+    if spent == "seven":
+        size, n_live = n + 7, n
+    else:
+        size, n_live = n, int(rng.integers(1, min(n, _PREFIX - 1) + 1))
+    weights = np.zeros(size)
+    weights[rng.choice(size, size=n_live, replace=False)] = rng.random(n_live) / n_live
     candidates = np.flatnonzero(weights > 0)
-    keys = {"real": lambda: rng.random(n),
-            "integer": lambda: rng.integers(0, 4, size=n).astype(float),
-            "equal": lambda: np.full(n, 2.5)}[key_kind]()
-    avail = weights[candidates[np.argsort(keys, kind="stable")]]
+    keys = np.empty(size)
+    keys[candidates] = {"real": lambda: rng.random(n_live),
+                        "integer": lambda: rng.integers(0, 4, size=n_live).astype(float),
+                        "equal": lambda: np.full(n_live, 2.5),
+                        "half_inf": lambda: np.where(rng.random(n_live) < 0.5, np.inf,
+                                                     rng.random(n_live))}[key_kind]()
+    live_keys = keys[candidates]
+    n_spent = size - n_live
+    keys[weights == 0] = {"nan": lambda: np.full(n_spent, np.nan),
+                          "inf": lambda: np.full(n_spent, np.inf),
+                          "-inf": lambda: np.full(n_spent, -np.inf),
+                          "below_live": lambda: live_keys.min() - 1.0
+                          - rng.random(n_spent)}[spent_key]()
+    avail = weights[candidates[np.argsort(live_keys, kind="stable")]]
     cum = np.cumsum(avail)
     if demand_kind == "below_first":
         demand = 0.5 * avail[0]
     elif demand_kind == "at_boundary":
-        demand = float(cum[rng.integers(n)])
+        demand = float(cum[rng.integers(n_live)])
     elif demand_kind == "deep":
-        demand = float(cum[rng.integers(min(DEEP, n - 1), n)])
+        demand = float(cum[rng.integers(min(DEEP, n_live - 1), n_live)])
     elif demand_kind == "random":
         demand = float(rng.uniform(0.0, cum[-1]))
     else:
         demand = 1.5 * float(cum[-1])
-    idx, taken, exhausted = _fill_nearest(weights, candidates, keys, demand)
-    want_idx, want_taken, want_exhausted = _fill_full_sort(weights, candidates, keys, demand)
+    idx, taken, exhausted = _fill_nearest(weights, keys, demand)
+    want_idx, want_taken, want_exhausted = _fill_full_sort(weights, candidates,
+                                                           live_keys, demand)
     assert np.array_equal(idx, want_idx)
     assert taken.tobytes() == want_taken.tobytes()
     assert exhausted == want_exhausted == (demand_kind == "above_total")
-    if demand_kind == "deep" and n > DEEP:
+    if demand_kind == "deep" and n_live > DEEP:
         assert idx.size > DEEP
