@@ -52,7 +52,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                    timing: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     m_max = max(s.m for s in scenario.systems)
 
     traj_rows = []
@@ -108,13 +107,15 @@ def cmd_run(args) -> int:
         scenario = build_scenario(doc, base_dir=path.parent)
         if args.k_interval is not None:
             scenario = replace(scenario, global_w_interval=args.k_interval)
-    except (ValueError, OSError) as exc:  # bad document, file or override
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # bad document, file, override or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         result = engine_run(scenario)
-        _write_outputs(Path(args.out), scenario, result, timing=args.timing)
-    except DpcoverError as exc:
+        _write_outputs(out_dir, scenario, result, timing=args.timing)
+    except (DpcoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(result.records)} step records to {args.out}")
@@ -127,9 +128,14 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        rows = list(reader)
-    if header is None:
-        raise InputError(f"empty file {path}")
+        if header is None:
+            raise InputError(f"empty file {path}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise InputError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                 f"the header has {len(header)}")
+            rows.append(row)
     return header, rows
 
 
@@ -201,11 +207,11 @@ def cmd_plot(args) -> int:
         else:
             print(f"error: unknown plot kind {args.kind}", file=sys.stderr)
             return 2
-    except (DpcoverError, ValueError) as exc:
+        out_path = out_dir / f"{args.kind}.svg"
+        out_path.write_text(svg, encoding="utf-8")
+    except (DpcoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_path = out_dir / f"{args.kind}.svg"
-    out_path.write_text(svg, encoding="utf-8")
     print(f"wrote {out_path}")
     return 0
 

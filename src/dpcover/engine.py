@@ -4,8 +4,10 @@ One serial loop: each step runs, for every active agent in index order,
 stage A (local sample-point selection, optimal input, convergence check),
 one dynamics step, and stage B (the greedy weight update at the new
 position); then stage C, one min-rule synchronization round over all
-agents. The global 2-Wasserstein distance between the accumulated
-trajectory cloud and the original reference is evaluated every K steps.
+agents, which also reports the mass no agent has claimed. The global
+2-Wasserstein distance between the accumulated trajectory cloud and the
+original reference is evaluated every K steps. A run draws no random
+numbers.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class Scenario:
     input_constraints: linalg.InputPolytope | None = None  # else each system's bounds
     global_w_interval: int = 50
     global_w_cap: int = linalg.TRANSPORT_SIZE_CAP
-    seed: int = 0
 
     def __post_init__(self):
         if not (len(self.systems) == len(self.initial_states) == len(self.budgets)):
@@ -77,7 +78,6 @@ class StepRecord:
     input_constraint_active: bool
     exhausted: bool
     comm_events: int = 0
-    comm_sim_ms: float = 0.0
     stage_a_ms: float = 0.0
     stage_b_ms: float = 0.0
     stage_c_ms: float = 0.0
@@ -181,7 +181,8 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
 
 
 def run(scenario: Scenario) -> RunResult:
-    """Execute a full scenario. Deterministic given the scenario seed."""
+    """Execute a full scenario. Deterministic: the scenario fixes every
+    input, and the run draws no random numbers."""
     cloud = scenario.cloud
     alpha = agent_alpha(scenario.budgets)
     agents = []
@@ -191,7 +192,6 @@ def run(scenario: Scenario) -> RunResult:
                 else sys.input_bounds)
         agents.append(_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha,
                                 cloud.positions, cons))
-    rng = np.random.default_rng(scenario.seed)
 
     records: list[StepRecord] = []
     global_w: list[tuple[int, float, bool]] = []
@@ -203,18 +203,15 @@ def run(scenario: Scenario) -> RunResult:
 
         t2 = time.perf_counter()
         # stage B leaves each weight 0 or >= WEIGHT_SNAP; minima keep that
-        count, sim_ms = coordination.sync_round(
-            [a.weights for a in agents], [a.y for a in agents],
-            scenario.comm, rng)
+        count, unclaimed = coordination.sync_round(
+            [a.weights for a in agents], [a.y for a in agents], scenario.comm)
         stage_c_ms = (time.perf_counter() - t2) * 1e3
         for rec in step_records:
             rec.comm_events = count
-            rec.comm_sim_ms = sim_ms
             rec.stage_c_ms = stage_c_ms
         records.extend(step_records)
 
-        shared_remaining = np.minimum.reduce([a.weights for a in agents]).sum()
-        done = shared_remaining < REMAINING_MASS_EPS or not any(a.active for a in agents)
+        done = unclaimed < REMAINING_MASS_EPS or not any(a.active for a in agents)
         if (k % scenario.global_w_interval == 0 or done or k == max_k) and step_records:
             pts = np.vstack([p for a in agents for p in a.outputs[1:]])
             masses = np.concatenate([np.asarray(a.masses) for a in agents])

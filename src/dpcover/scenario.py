@@ -168,12 +168,10 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     cloud = _build_reference(doc["reference"], base_dir, seed)
 
     comm_spec = {} if doc.get("comm") is None else doc["comm"]
-    _check_keys(comm_spec, {"d_comm", "latency_mean_ms", "latency_jitter_ms"},
-                set(), "comm")
-    values = {k: _real(v, f"comm.{k}") for k, v in comm_spec.items()
-              if not (k == "d_comm" and v is None)}  # a null range is all-to-all
+    _check_keys(comm_spec, {"d_comm"}, set(), "comm")
+    d_comm = comm_spec.get("d_comm")  # absent or null is all-to-all
     try:
-        comm = CommConfig(**values)
+        comm = CommConfig(None if d_comm is None else _real(d_comm, "comm.d_comm"))
     except InputError as exc:
         raise ScenarioError(f"comm: {exc}") from exc
 
@@ -186,8 +184,7 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
                         global_w_interval=_integer(doc.get("global_w_interval", 50),
                                                    "global_w_interval", 1),
                         global_w_cap=_integer(doc.get("global_w_cap", TRANSPORT_SIZE_CAP),
-                                              "global_w_cap", 1),
-                        seed=seed)
+                                              "global_w_cap", 1))
     except ScenarioError:
         raise
     except Exception as exc:

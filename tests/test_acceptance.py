@@ -263,7 +263,7 @@ def _timing_scenario(n_agents, budget=60, n_samples=600):
     return Scenario(systems=[sys] * n_agents,
                     initial_states=[s for s in starts],
                     budgets=[budget] * n_agents, cloud=cloud,
-                    global_w_interval=10 ** 6, seed=3)
+                    global_w_interval=10 ** 6)
 
 
 def test_criterion_10_scalability(announce, monkeypatch):

@@ -93,6 +93,27 @@ def test_run_determinism_bytes(scenario_file, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_run_into_a_file_fails_before_the_run(scenario_file, tmp_path, capsys,
+                                              monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+
+    def engine_run(scenario):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "engine_run", engine_run)
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "not a directory"
+
+
+def test_run_write_failure_is_an_error_not_a_traceback(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_parallel_flag_rejected(scenario_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--scenario", scenario_file, "--out", tmp_path / "out",
@@ -221,6 +242,39 @@ def test_run_removes_plots_of_the_earlier_run(tmp_path):
     second.write_text(json.dumps(first_order_doc(m_steps=6, seed=5)))
     assert run_cli("run", "--scenario", second, "--out", out) == 0
     assert not list(out.glob("*.svg"))
+
+
+# the CSV each plot kind reads, whose first row (agent 0, k 1) is cut short
+SHORT_ROW_FILE = {"trajectories": "trajectories.csv", "deltaw": "metrics.csv",
+                  "ellipses": "gains.csv", "globalw": "global_w.csv"}
+
+
+@pytest.mark.parametrize("kind", cli.PLOT_KINDS)
+def test_plot_short_row_is_an_error_not_a_traceback(kind, scenario_file, tmp_path,
+                                                    capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    path = out / SHORT_ROW_FILE[kind]
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:2])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", kind) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{path} line 2: 2 cells" in err
+    assert "Traceback" not in err
+    assert not (out / f"{kind}.svg").exists()
+
+
+def test_plot_write_failure_is_an_error_not_a_traceback(scenario_file, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    (out / "globalw.svg").mkdir()
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", "globalw") == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_plot_missing_csvs_fails(tmp_path):

@@ -113,8 +113,11 @@ def test_sync_round_matches_pairwise_min_rule(n, d_comm, seed):
         v[rng.random(9) < 0.3] = 0.0
     positions = [rng.uniform(0.0, 3.0, size=2) for _ in range(n)]
     want, want_count = _pairwise_reference(vecs, positions, d_comm, ascending_pairs(n))
-    count, _ = sync_round(vecs, positions, CommConfig(d_comm=d_comm))
+    # min-merges never change the elementwise minimum over all vectors
+    want_unclaimed = float(np.minimum.reduce(vecs).sum())
+    count, unclaimed = sync_round(vecs, positions, CommConfig(d_comm=d_comm))
     assert count == want_count
+    assert unclaimed == want_unclaimed
     if d_comm is None:
         assert count == n * (n - 1) // 2
     for a, b in zip(vecs, want):
@@ -133,19 +136,11 @@ def test_sync_round_monotone_and_idempotent(rng):
         assert np.array_equal(v, s)
 
 
-def test_latency_model_never_touches_weights(rng):
-    cfg = CommConfig(latency_mean_ms=2.0, latency_jitter_ms=1.0)
-    vecs = [rng.random(5) for _ in range(2)]
-    want = np.minimum.reduce(vecs)
-    count, sim_ms = sync_round(vecs, far_apart(2), cfg,
-                               rng=np.random.default_rng(1))
-    assert count == 1
-    assert sim_ms > 0.0
-    assert all(np.allclose(v, want) for v in vecs)
+def test_sync_round_rejects_an_empty_fleet():
+    with pytest.raises(InputError):
+        sync_round([], [], CommConfig())
 
 
 def test_comm_config_validation():
     with pytest.raises(InputError):
         CommConfig(d_comm=-1.0)
-    with pytest.raises(InputError):
-        CommConfig(latency_mean_ms=-0.1)

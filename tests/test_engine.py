@@ -42,7 +42,7 @@ def test_single_step_single_point_trace():
     q = np.array([4.0, 3.0])
     sc = Scenario(systems=[make_preset("first_order", 0.1)],
                   initial_states=[np.array([1.0, 1.0])],
-                  budgets=[1], cloud=uniform_cloud([q]), seed=0)
+                  budgets=[1], cloud=uniform_cloud([q]))
     res = run(sc)
     assert len(res.records) == 1
     r = res.records[0]
@@ -56,7 +56,7 @@ def test_single_step_single_point_trace():
 
 
 def test_run_completes_and_drains_mass():
-    sc = first_order_scenario(n_agents=2, m_steps=40, seed=1)
+    sc = first_order_scenario(n_agents=2, m_steps=40)
     res = run(sc)
     assert res.alpha == pytest.approx(1.0 / 80)
     total_claimed = sum(m.sum() for m in res.trajectory_masses)
@@ -72,8 +72,8 @@ def records_signature(res):
 
 
 def test_serial_rerun_identical():
-    a = run(first_order_scenario(seed=3))
-    b = run(first_order_scenario(seed=3))
+    a = run(first_order_scenario())
+    b = run(first_order_scenario())
     assert records_signature(a) == records_signature(b)
     assert a.global_w == b.global_w
 
@@ -81,7 +81,7 @@ def test_serial_rerun_identical():
 # ----------------------------------------------------------------- mass ledger
 
 def test_single_agent_mass_conservation():
-    sc = first_order_scenario(n_agents=1, m_steps=25, seed=2)
+    sc = first_order_scenario(n_agents=1, m_steps=25)
     res = run(sc)
     # sum beta + k * alpha == 1 until exhaustion; reconstruct from masses
     claimed = np.cumsum(res.trajectory_masses[0])
@@ -91,7 +91,7 @@ def test_single_agent_mass_conservation():
 
 
 def test_weight_monotonicity_via_claims():
-    res = run(first_order_scenario(n_agents=2, m_steps=20, seed=4))
+    res = run(first_order_scenario(n_agents=2, m_steps=20))
     for masses in res.trajectory_masses:
         assert np.all(masses >= 0)
         assert np.all(masses <= res.alpha + 1e-12)
@@ -105,7 +105,7 @@ def test_budget_mass_ledger_balances():
     sys = make_preset("first_order", 0.1)
     apart = Scenario(systems=[sys, sys],
                      initial_states=[np.array([0.0, 0.0]), np.array([10.0, 10.0])],
-                     budgets=[50, 50], cloud=cloud, seed=0)
+                     budgets=[50, 50], cloud=cloud)
     res = run(apart)
     assert len(res.records) <= 100
     assert sum(m.sum() for m in res.trajectory_masses) == pytest.approx(1.0, abs=1e-9)
@@ -113,7 +113,7 @@ def test_budget_mass_ledger_balances():
 
     together = Scenario(systems=[sys, sys],
                         initial_states=[np.array([5.0, 5.0])] * 2,
-                        budgets=[50, 50], cloud=cloud, seed=0)
+                        budgets=[50, 50], cloud=cloud)
     res2 = run(together)
     # overlapping claims can only slow the shared pool down
     assert sum(m.sum() for m in res2.trajectory_masses) <= 1.0 + 1e-9
@@ -125,7 +125,7 @@ def test_budget_mass_ledger_balances():
 def test_realized_matches_prediction_without_clamps():
     # first-order, unconstrained: prediction is exact, so every resolved
     # window must agree with the quadratic form
-    res = run(first_order_scenario(n_agents=2, m_steps=30, seed=5))
+    res = run(first_order_scenario(n_agents=2, m_steps=30))
     resolved = [r for r in res.records if r.realized_delta_w is not None]
     assert resolved
     for r in resolved:
@@ -134,7 +134,7 @@ def test_realized_matches_prediction_without_clamps():
 
 
 def test_unconstrained_first_order_strictly_decreases():
-    res = run(first_order_scenario(n_agents=2, m_steps=30, seed=6))
+    res = run(first_order_scenario(n_agents=2, m_steps=30))
     for r in res.records:
         assert r.delta_w_pred < 0
         assert r.in_range
@@ -143,7 +143,7 @@ def test_unconstrained_first_order_strictly_decreases():
 # -------------------------------------------------------------- communication
 
 def test_comm_events_per_step():
-    res = run(first_order_scenario(n_agents=3, m_steps=5, seed=0))
+    res = run(first_order_scenario(n_agents=3, m_steps=5))
     for r in res.records:
         assert r.comm_events == 3  # L(L-1)/2 with infinite range
 
@@ -154,7 +154,7 @@ def test_finite_comm_range_changes_nothing_when_apart():
     sc = Scenario(systems=[sys, sys],
                   initial_states=[np.zeros(2), np.array([100.0, 100.0])],
                   budgets=[1, 1], cloud=cloud,
-                  comm=CommConfig(d_comm=1.0), seed=0)
+                  comm=CommConfig(d_comm=1.0))
     res = run(sc)
     assert all(r.comm_events == 0 for r in res.records)
 

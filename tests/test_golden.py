@@ -1,14 +1,18 @@
-"""Byte-level pins of the CSV outputs of four small constrained runs, and
-of the four SVG plots of the default-scenario run.
+"""Byte-level pins of the CSV outputs of four small constrained runs and
+one limited-range run, and of the four SVG plots of the default-scenario
+and limited-range runs.
 
-A change meant to keep behaviour must keep every one of these bytes. All
-documents drive the active-set QP: the counts checked beside the digests
-show that the pinned bytes cover steps where an input constraint binds,
-and (for the quadrotor) where the state bounds clamp. Three polytopes are
-boxes centred at 0; the triangle's Chebyshev centre is (0.268, -0.232),
-so its active set starts away from the origin. The desk runs end with
-fewer than 64 samples left in a weight vector; the default-scenario run
-ranks a 5 975-sample cloud for three agents.
+A change meant to keep behaviour must keep every one of these bytes. The
+first four documents drive the active-set QP: the counts checked beside
+the digests show that the pinned bytes cover steps where an input
+constraint binds, and (for the quadrotor) where the state bounds clamp.
+Three polytopes are boxes centred at 0; the triangle's Chebyshev centre is
+(0.268, -0.232), so its active set starts away from the origin. The desk
+runs end with fewer than 64 samples left in a weight vector; the
+default-scenario run ranks a 5 975-sample cloud for three agents. The
+limited-range run is unconstrained, and its two agents come within
+d_comm on some steps only, so the check beside its digests sees steps
+with and without an exchange.
 """
 
 import csv
@@ -26,12 +30,12 @@ CSVS = ("trajectories.csv", "metrics.csv", "global_w.csv", "gains.csv",
         "reference.csv")
 
 
-def _cut(name: str, **extra) -> dict:
-    """A checked-in scenario cut to 200 steps per agent and W2 on
+def _cut(name: str, steps: int = 200, **extra) -> dict:
+    """A checked-in scenario cut to `steps` steps per agent and W2 on
     100-point clouds."""
     doc = json.loads((SCENARIO_DIR / name).read_text())
     for agent in doc["agents"]:
-        agent["M"] = 200
+        agent["M"] = steps
     doc["global_w_cap"] = 100
     doc.update(extra)
     return doc
@@ -44,8 +48,8 @@ def _box(bound: float) -> tuple[list, list]:
 
 TRIANGLE = {"Cu": [[1, 0], [0, 1], [-1, -1]], "Du": [1, 0.5, 1]}
 
-# name -> (document, its input polytope (Cu, Du), SHA-256 of each CSV and
-# of each plot rendered)
+# name -> (document, its input polytope (Cu, Du) or None if unconstrained,
+# SHA-256 of each CSV and of each plot rendered)
 GOLDEN = {
     "quadrotor_desk": (
         _cut("quadrotor_desk.json"), _box(100.0), {
@@ -84,12 +88,24 @@ GOLDEN = {
             "ellipses.svg": "55773d9174d784de530881577e8641d937802f717c37bd657ceaf951cc904be2",
             "globalw.svg": "e11d2194ae87e9e471a862ab59e3199ecbfcdebed15db686c5d56800ce350510",
         }),
+    "first_order_desk_d_comm_8": (
+        _cut("first_order_desk.json", steps=150, comm={"d_comm": 8.0}), None, {
+            "trajectories.csv": "75a6d6fd044216a113279bd635c1123a9eda55acd3e95a58d0532ff126d78ca7",
+            "metrics.csv": "417e5f22e3ee01bfe5a85d32cfb4ef358a3cce272eeb833c5f5e543ea918f5df",
+            "global_w.csv": "946cc29a67ba913f1d9517a8fb255fe7a5c24378837e4ec8113782a3048ea598",
+            "gains.csv": "37396a1162e9e324d3af3d9628c0ae4eaa7f3028f1ce34e3634fe1de7a8f70f4",
+            "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
+            "trajectories.svg": "8cc53988cb83810f50e28db9c9cd4eb891b823c9e9233a04f2077a490af3e596",
+            "deltaw.svg": "4cda546a50e623e65d32435f4865e59a6f8bbc8f30de1dcf7a2a095710091751",
+            "ellipses.svg": "07d97727ab0866f752c4410a1aedb4a1b3e5d9a6f2a6e81c0609b160e487d028",
+            "globalw.svg": "c4d17a20e531f8dba65be5f807a14211ea71b9a48d907b14fef9f46924ef1129",
+        }),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_constrained_run_outputs_are_pinned(name, tmp_path):
-    doc, (Cu, Du), digests = GOLDEN[name]
+    doc, polytope, digests = GOLDEN[name]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -97,13 +113,15 @@ def test_constrained_run_outputs_are_pinned(name, tmp_path):
 
     with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    u = np.array([[float(r["u1"]), float(r["u2"])] for r in rows])
-    slack = u @ np.asarray(Cu, dtype=float).T - np.asarray(Du, dtype=float)
-    active = int(np.sum(np.any(slack >= -1e-9, axis=1)))
-    clamps = sum(r["bound_violation"] == "1" for r in rows)
-    assert active > 0
+    if polytope is not None:
+        Cu, Du = (np.asarray(a, dtype=float) for a in polytope)
+        u = np.array([[float(r["u1"]), float(r["u2"])] for r in rows])
+        active = int(np.sum(np.any(u @ Cu.T - Du >= -1e-9, axis=1)))
+        assert active > 0
     if name == "quadrotor_desk":
-        assert clamps > 0
+        assert sum(r["bound_violation"] == "1" for r in rows) > 0
+    if "comm" in doc:
+        assert {r["comm_events"] for r in rows} == {"0", "1"}
 
     plots = [f"{kind}.svg" for kind in cli.PLOT_KINDS if f"{kind}.svg" in digests]
     for f in plots:

@@ -60,5 +60,7 @@ def test_traced_run_fills_every_observer_counter(monkeypatch, tmp_path):
     for name in ("select_local_samples.claimed", "weight_update.claimed",
                  "sync_round.exchanges", "global_wasserstein.cost_cells"):
         assert counts[name] > 0, name
+    # the check perfbench/run.py applies to a traced all-to-all run
+    assert counts["sync_round.exchanges"] == counts["sync_round.all_pairs"] == 20
     assert "step_events.violations" in counts
     assert tracer.summary()["svgplot.plot_ellipses"]["calls"] == 1

@@ -23,7 +23,6 @@ def test_valid_doc_builds():
     assert len(sc.systems) == 2
     assert sc.budgets == [5, 5]
     assert sc.cloud.n_points == 30
-    assert sc.seed == 3
 
 
 def test_unknown_top_level_key_rejected():
@@ -188,7 +187,7 @@ def test_mixture_seed_defaults_to_scenario_seed():
 
 
 def test_comm_block():
-    doc = first_order_doc(comm={"d_comm": 10.0, "latency_mean_ms": 1.0})
+    doc = first_order_doc(comm={"d_comm": 10.0})
     sc = build_scenario(doc)
     assert sc.comm.d_comm == 10.0
 
@@ -222,7 +221,7 @@ def _quadrotor_doc(**params):
 
 @pytest.mark.parametrize("doc", [
     _with(("seed",), "x"),
-    # an explicit mixture seed leaves the negative run seed to the engine
+    # an explicit mixture seed does not excuse a negative top-level seed
     _with(("reference", "mixture", "seed"), 3, first_order_doc(seed=-1)),
     _with(("agents", 0, "initial_state"), ["a", 1.0]),
     _with(("agents", 0, "initial_state"), [float("nan"), 1.0]),
@@ -268,10 +267,8 @@ def _quadrotor_doc(**params):
     _with(("reference", "mixture", "domain"), [0.0, float("inf"), 0.0, 10.0]),
     first_order_doc(comm={"d_comm": True}),
     first_order_doc(comm={"d_comm": float("inf")}),
-    first_order_doc(comm={"latency_mean_ms": True}),
-    first_order_doc(comm={"latency_mean_ms": float("nan")}),
-    # with two agents in range, each step draws the jitter from rng.uniform
-    first_order_doc(n_agents=2, comm={"latency_jitter_ms": float("inf")}),
+    # comm takes d_comm only
+    first_order_doc(comm={"d_comm": 10.0, "latency_mean_ms": 1.0}),
     _with(("input_constraints",), {"u_max": True}),
     _with(("input_constraints",), {"Cu": [[True, 0.0], [-1.0, 0.0]], "Du": [1.0, 1.0]}),
     _with(("input_constraints",), {"Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [True, 1.0]}),
@@ -285,8 +282,7 @@ def _quadrotor_doc(**params):
         "quadrotor-inertia-negative", "version-bool", "dt-bool", "dt-nan",
         "dt-inf", "matrix-bool", "quadrotor-tau-max-bool", "initial-state-bool",
         "mean-bool", "cov-bool", "domain-bool", "domain-inf", "d-comm-bool",
-        "d-comm-inf", "latency-mean-bool", "latency-mean-nan",
-        "latency-jitter-inf", "u-max-bool", "cu-bool", "du-bool"])
+        "d-comm-inf", "comm-unknown-key", "u-max-bool", "cu-bool", "du-bool"])
 def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     with pytest.raises(ScenarioError):
         build_scenario(doc)
@@ -316,7 +312,7 @@ def _subtree_paths(node, prefix=()):
 def _fuzz_doc():
     return first_order_doc(
         n_agents=2, m_steps=3,
-        comm={"d_comm": 50.0, "latency_mean_ms": 1.0, "latency_jitter_ms": 0.5},
+        comm={"d_comm": 50.0},
         input_constraints={"Cu": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
                            "Du": [2.0, 2.0, 2.0]})
 
