@@ -32,6 +32,9 @@ from .scenario import build_scenario, load_scenario
 from .svgplot import plot_ellipses, plot_series, plot_trajectories
 
 PLOT_KINDS = ("trajectories", "deltaw", "ellipses", "globalw")
+# every file a run owns in its output directory: its CSVs and their plots
+RUN_FILES = ("trajectories.csv", "metrics.csv", "global_w.csv", "reference.csv",
+             "gains.csv", *(f"{kind}.svg" for kind in PLOT_KINDS))
 
 
 def _fmt(v) -> str:
@@ -52,6 +55,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                    timing: bool) -> None:
+    # an earlier run's files go first, so a write that fails part-way
+    # leaves only this run's files, never a mix of two runs
+    for name in RUN_FILES:
+        if not (out_dir / name).is_dir():  # a directory fails its write below
+            (out_dir / name).unlink(missing_ok=True)
     m_max = max(s.m for s in scenario.systems)
 
     traj_rows = []
@@ -91,10 +99,6 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
         _write_csv(out_dir / "gains.csv",
                    ["agent", "k", "d1_11", "d1_12", "d1_22", "d2_1", "d2_2",
                     "d3", "u1", "u2", "uu1", "uu2"], gain_rows)
-    else:  # not left over from an earlier run into the same directory
-        (out_dir / "gains.csv").unlink(missing_ok=True)
-    for kind in PLOT_KINDS:  # plots of the earlier run's CSVs
-        (out_dir / f"{kind}.svg").unlink(missing_ok=True)
 
 
 def cmd_run(args) -> int:

@@ -1,7 +1,10 @@
 """Deterministic SVG emission for run diagnostics.
 
 Plots are built as plain strings with fixed float formatting and no
-timestamps, so identical inputs produce identical bytes.
+timestamps, so identical inputs produce identical bytes. Polyline vertices
+and the reference cloud are mapped to the viewport as whole arrays; the
+map is elementwise IEEE arithmetic, so each coordinate has the bits it
+would have alone, and is formatted from its Python float as before.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ class _Frame:
     def y(self, v):
         return HEIGHT - MARGIN - (v - self.y_lo) / (self.y_hi - self.y_lo) * (HEIGHT - 2 * MARGIN)
 
-    def pt(self, xv, yv):
-        return f"{_f(self.x(xv))},{_f(self.y(yv))}"
-
 
 def _document(elements: list[str], title: str) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -75,7 +75,8 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
 
 def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.2,
               dash: str | None = None) -> str:
-    pts = " ".join(frame.pt(x, y) for x, y in zip(xs, ys))
+    pts = " ".join(f"{_f(x)},{_f(y)}"
+                   for x, y in zip(frame.x(xs).tolist(), frame.y(ys).tolist()))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{_f(width)}"{dash_attr}/>')
@@ -99,9 +100,9 @@ def plot_trajectories(trajectories: dict[int, np.ndarray],
     ys = np.concatenate([t[:, 1] for t in trajectories.values()] + [reference[:, 1]])
     frame = _Frame(xs.min(), xs.max(), ys.min(), ys.max())
     els = _axes(frame, "x (m)", "y (m)")
-    for qx, qy in reference:
-        els.append(f'<circle cx="{_f(frame.x(qx))}" cy="{_f(frame.y(qy))}" '
-                   f'r="1.3" fill="#9ecae1"/>')
+    for cx, cy in zip(frame.x(reference[:, 0]).tolist(),
+                      frame.y(reference[:, 1]).tolist()):
+        els.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="1.3" fill="#9ecae1"/>')
     for idx, agent in enumerate(sorted(trajectories)):
         traj = trajectories[agent]
         if traj.shape[0] == 0:

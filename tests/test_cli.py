@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dpcover import cli
+from dpcover import cli, controller
 from dpcover.controller import GainTerms
 from dpcover.engine import run
 from dpcover.errors import InputError
@@ -182,6 +182,28 @@ def test_ellipse_window_count(scenario_file, tmp_path):
     assert svg.count("stroke-dasharray") == 5
 
 
+def test_ellipse_plot_inverts_each_distinct_d1_once(scenario_file, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    header, rows = read_csv(out / "gains.csv")
+    d1_cols = [header.index(c) for c in ("d1_11", "d1_12", "d1_22")]
+    first_agent = [r for r in rows if r[0] == "0"]
+    distinct = {tuple(r[c] for c in d1_cols) for r in first_agent}
+    assert len(first_agent) == 8 and len(distinct) < len(first_agent)
+    calls = []
+    pinv = controller.pseudo_inverse
+
+    def counting(M):
+        calls.append(M)
+        return pinv(M)
+
+    monkeypatch.setattr(controller, "_curvatures", {})
+    monkeypatch.setattr(controller, "pseudo_inverse", counting)
+    assert run_cli("plot", "--out", out, "--kind", "ellipses") == 0
+    assert len(calls) == len(distinct)
+
+
 def test_ellipses_skip_empty_range_boundary():
     # steps 1 and 3 have the unit-disk range around the origin; step 2's
     # range is empty (D2 D1^-1 D2' - D3 = -0.5), so it has no boundary,
@@ -242,6 +264,33 @@ def test_run_removes_plots_of_the_earlier_run(tmp_path):
     second.write_text(json.dumps(first_order_doc(m_steps=6, seed=5)))
     assert run_cli("run", "--scenario", second, "--out", out) == 0
     assert not list(out.glob("*.svg"))
+
+
+def test_failed_write_leaves_no_file_of_the_earlier_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(first_order_doc(n_agents=2, m_steps=8)))
+    assert run_cli("run", "--scenario", first, "--out", out) == 0
+    for kind in cli.PLOT_KINDS:
+        assert run_cli("plot", "--out", out, "--kind", kind) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(earlier) == {"trajectories.csv", "metrics.csv", "global_w.csv",
+                            "reference.csv", "gains.csv",
+                            *(f"{kind}.svg" for kind in cli.PLOT_KINDS)}
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(first_order_doc(n_agents=2, m_steps=8, seed=5)))
+    (out / "global_w.csv").unlink()
+    (out / "global_w.csv").mkdir()
+    capsys.readouterr()
+    assert run_cli("run", "--scenario", second, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    left = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    # what the failed run did write is its own, not the earlier run's
+    assert set(left) <= {"trajectories.csv", "metrics.csv"}
+    assert run_cli("run", "--scenario", second, "--out", tmp_path / "fresh") == 0
+    for name, data in left.items():
+        assert data != earlier[name]
+        assert data == (tmp_path / "fresh" / name).read_bytes()
 
 
 # the CSV each plot kind reads, whose first row (agent 0, k 1) is cut short

@@ -8,6 +8,7 @@ and grid oracles, so the two routes stay independent.
 import numpy as np
 import pytest
 
+from dpcover import controller
 from dpcover.controller import (GainTerms, convergence_check,
                                 convergence_ellipse, delta_w, gain_terms,
                                 optimal_input_constrained,
@@ -240,6 +241,72 @@ def test_ellipse_empty_range_rejected():
     gt = GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=0.5)
     with pytest.raises(InputError):
         convergence_ellipse(gt, 16)
+
+
+# ------------------------------------------------------------ curvature memo
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(controller, "_curvatures", {})
+
+
+@pytest.mark.parametrize("D1, message", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+    (np.diag([1.0, -1.0]), "positive semidefinite"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), "non-finite"),
+])
+def test_memo_never_admits_an_invalid_d1(cold_memo, D1, message):
+    valid = GainTerms(D1=np.eye(2), D2=np.ones(2), D3=0.0)  # cached
+    for _ in range(2):  # the failure is not cached either
+        with pytest.raises(InputError, match=message):
+            GainTerms(D1=D1, D2=np.ones(2), D3=0.0)
+    assert GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=0.0).D1 is valid.D1
+
+
+def test_memo_hit_is_bit_identical_to_a_cold_build(monkeypatch):
+    D1 = 0.2 * np.array([[1.3, 0.1 + 1e-17], [0.1, 0.7]])  # symmetric within tolerance
+    D2, D3 = np.array([-0.61, 0.37]), 0.25
+    monkeypatch.setattr(controller, "_curvatures", {})
+    cold = GainTerms(D1=D1, D2=D2, D3=D3)
+    hit = GainTerms(D1=D1.copy(), D2=D2, D3=D3)
+    assert hit.D1 is cold.D1 and hit.D1_pinv is cold.D1_pinv
+    monkeypatch.setattr(controller, "_curvatures", {})
+    fresh = GainTerms(D1=D1, D2=D2, D3=D3)
+    assert fresh.D1 is not cold.D1
+    for name in ("D1", "D1_pinv"):
+        assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes()
+    assert np.float64(hit.range_rhs).tobytes() == np.float64(fresh.range_rhs).tobytes()
+
+
+def test_memo_serves_interleaved_d1_and_stays_bounded(cold_memo, monkeypatch):
+    calls = []
+    pinv = controller.pseudo_inverse
+
+    def counting(M):
+        calls.append(M)
+        return pinv(M)
+
+    monkeypatch.setattr(controller, "pseudo_inverse", counting)
+    d1s = [np.eye(2), np.diag([np.nextafter(1.0, 2.0), 1.0])]
+    for step in range(10):  # two agents' D1, an ulp apart, step by step
+        gt = GainTerms(D1=d1s[step % 2], D2=np.ones(2), D3=0.0)
+        assert gt.D1.tobytes() == d1s[step % 2].tobytes()
+    assert len(calls) == 2
+    for scale in range(1, 3 * controller._CURVATURES_MAX):
+        GainTerms(D1=scale * np.eye(2), D2=np.ones(2), D3=0.0)
+        assert len(controller._curvatures) <= controller._CURVATURES_MAX
+
+
+def test_shared_curvature_is_read_only(cold_memo):
+    first = GainTerms(D1=np.eye(2), D2=np.ones(2), D3=0.0)
+    second = GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=1.0)
+    assert second.D1 is first.D1
+    for arr in (first.D1, first.D1_pinv):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+    assert second.D1_pinv.tobytes() == np.eye(2).tobytes()
 
 
 # ------------------------------------------------------------- selection + gains
