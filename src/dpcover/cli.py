@@ -91,10 +91,10 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                [(x, y, w) for (x, y), w in zip(scenario.cloud.positions,
                                                scenario.cloud.weights)])
 
-    if m_max == 2 and all(s.m == 2 for s in scenario.systems):
+    if all(s.m == 2 for s in scenario.systems):
         gain_rows = [(r.agent, r.k, r.gains.D1[0, 0], r.gains.D1[0, 1],
                       r.gains.D1[1, 1], r.gains.D2[0], r.gains.D2[1], r.gains.D3,
-                      r.u[0], r.u[1], r.u_unconstrained[0], r.u_unconstrained[1])
+                      r.u[0], r.u[1], r.gains.u_star[0], r.gains.u_star[1])
                      for r in result.records]
         _write_csv(out_dir / "gains.csv",
                    ["agent", "k", "d1_11", "d1_12", "d1_22", "d2_1", "d2_2",
@@ -164,28 +164,27 @@ def cmd_plot(args) -> int:
             trajs_np = {a: np.asarray(v) for a, v in trajs.items()}
             ref = np.asarray([[float(x), float(y)] for x, y, _ in ref_rows])
             svg = plot_trajectories(trajs_np, ref)
-        elif args.kind in ("deltaw", "globalw"):
-            if args.kind == "deltaw":
-                header, rows = _read_csv(out_dir / "metrics.csv")
-                ai, ki, vi = (header.index(c) for c in ("agent", "k", "delta_w"))
-                series: dict[int, tuple[list, list]] = {}
-                for row in rows:
-                    if in_window(int(row[ki])):
-                        ks, vs = series.setdefault(int(row[ai]), ([], []))
-                        ks.append(int(row[ki]))
-                        vs.append(float(row[vi]))
-                svg = plot_series({a: (np.asarray(k), np.asarray(v))
-                                   for a, (k, v) in series.items()},
-                                  "Predicted change in squared local W2", "delta W")
-            else:
-                _, rows = _read_csv(out_dir / "global_w.csv")
-                pairs = [(int(k), float(w)) for k, w, _ in rows if in_window(int(k))]
-                if not pairs:
-                    raise InputError("empty window")
-                ks, ws = zip(*pairs)
-                svg = plot_series({0: (np.asarray(ks), np.asarray(ws))},
-                                  "Global 2-Wasserstein distance", "W2")
-        elif args.kind == "ellipses":
+        elif args.kind == "deltaw":
+            header, rows = _read_csv(out_dir / "metrics.csv")
+            ai, ki, vi = (header.index(c) for c in ("agent", "k", "delta_w"))
+            series: dict[int, tuple[list, list]] = {}
+            for row in rows:
+                if in_window(int(row[ki])):
+                    ks, vs = series.setdefault(int(row[ai]), ([], []))
+                    ks.append(int(row[ki]))
+                    vs.append(float(row[vi]))
+            svg = plot_series({a: (np.asarray(k), np.asarray(v))
+                               for a, (k, v) in series.items()},
+                              "Predicted change in squared local W2", "delta W")
+        elif args.kind == "globalw":
+            _, rows = _read_csv(out_dir / "global_w.csv")
+            pairs = [(int(k), float(w)) for k, w, _ in rows if in_window(int(k))]
+            if not pairs:
+                raise InputError("empty window")
+            ks, ws = zip(*pairs)
+            svg = plot_series({0: (np.asarray(ks), np.asarray(ws))},
+                              "Global 2-Wasserstein distance", "W2")
+        else:  # ellipses: argparse admits only PLOT_KINDS
             if not (out_dir / "gains.csv").exists():
                 raise InputError("no gains.csv: it is written only for 2-input runs")
             header, rows = _read_csv(out_dir / "gains.csv")
@@ -208,9 +207,6 @@ def cmd_plot(args) -> int:
                                   "u_unc": np.array([float(r[cols["uu1"]]),
                                                      float(r[cols["uu2"]])])})
             svg = plot_ellipses(steps)
-        else:
-            print(f"error: unknown plot kind {args.kind}", file=sys.stderr)
-            return 2
         out_path = out_dir / f"{args.kind}.svg"
         out_path.write_text(svg, encoding="utf-8")
     except (DpcoverError, ValueError, OSError) as exc:

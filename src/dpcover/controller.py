@@ -25,22 +25,23 @@ from .errors import InputError
 from .linalg import InputPolytope, pseudo_inverse, solve_psd_qp
 
 
-# (symmetrised D1, D1^+) of each valid D1 _curvature has seen, by D1's
-# (shape, bytes); emptied when full, so a run whose D1 never repeats stays
-# bounded
-_curvatures: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# (symmetrised D1, D1^+, eigenvalues, eigenvectors) of each valid D1
+# _curvature has seen, by D1's (shape, bytes); emptied when full, so a run
+# whose D1 never repeats stays bounded
+_curvatures: dict[tuple, tuple[np.ndarray, ...]] = {}
 _CURVATURES_MAX = 16
 
 
-def _curvature(D1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(symmetrised D1, D1^+) of a finite, symmetric, PSD D1, each within
-    the relative tolerance 1e-10; InputError otherwise.
+def _curvature(D1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(symmetrised D1, D1^+, ascending eigenvalues, eigenvectors) of a
+    finite, symmetric, PSD D1, each within the relative tolerance 1e-10;
+    InputError otherwise.
 
     D1 depends only on the system and the agent-point mass, so a run sees
     few distinct values (1 to 3 in the checked-in scenarios, where agents'
     claimed masses differ by an ulp and their steps interleave). Each is
-    checked and inverted once, and the arrays returned are shared and
-    read-only.
+    checked, decomposed by one eigh (the PSD check and the ellipse's axes)
+    and inverted once; the arrays returned are shared and read-only.
     """
     key = (D1.shape, D1.tobytes())
     hit = _curvatures.get(key)
@@ -51,16 +52,16 @@ def _curvature(D1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(D1 - D1.T).max() > 1e-10 * max(np.abs(D1).max(), 1.0):
         raise InputError("D1 is not symmetric within tolerance")
     D1 = 0.5 * (D1 + D1.T)
-    eigs = np.linalg.eigvalsh(D1)
-    if eigs[0] < -1e-10 * max(eigs[-1], 0.0) - 1e-300:
+    w, V = np.linalg.eigh(D1)
+    if w[0] < -1e-10 * max(w[-1], 0.0) - 1e-300:
         raise InputError("D1 is not positive semidefinite within tolerance")
-    D1_pinv = pseudo_inverse(D1)
-    D1.flags.writeable = False
-    D1_pinv.flags.writeable = False
+    entry = (D1, pseudo_inverse(D1), w, V)
+    for arr in entry:
+        arr.flags.writeable = False
     if len(_curvatures) >= _CURVATURES_MAX:
         _curvatures.clear()
-    _curvatures[key] = (D1, D1_pinv)
-    return D1, D1_pinv
+    _curvatures[key] = entry
+    return entry
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,16 @@ class GainTerms:
     """The quadratic u'D1u + 2D2u + D3 of one step, checked once.
 
     D1 must be finite, symmetric and positive semidefinite, each within
-    the relative tolerance 1e-10; it is kept symmetrised. Its
-    pseudoinverse is derived once per distinct D1 (_curvature), the
-    convergence-range bound once per step.
+    the relative tolerance 1e-10; it is kept symmetrised. D1^+ is derived
+    once per distinct D1 (_curvature); the unconstrained optimum u_star,
+    the centre of the convergence range, and its bound once per step.
     """
 
     D1: np.ndarray  # (m, m) symmetric PSD, read-only
     D2: np.ndarray  # (m,)
     D3: float
     D1_pinv: np.ndarray = field(init=False, repr=False)  # derived: D1^+, read-only
+    u_star: np.ndarray = field(init=False)  # derived: -D1^+ D2', read-only
     range_rhs: float = field(init=False)  # derived: D2 D1^+ D2' - D3
 
     def __post_init__(self):
@@ -86,11 +88,14 @@ class GainTerms:
             raise InputError("D1/D2 dimensions inconsistent")
         if not (np.all(np.isfinite(D2)) and np.isfinite(self.D3)):
             raise InputError("non-finite gain terms")
-        D1, D1_pinv = _curvature(D1)
+        D1, D1_pinv, _, _ = _curvature(D1)
+        u_star = -D1_pinv @ D2
+        u_star.flags.writeable = False
         object.__setattr__(self, "D1", D1)
         object.__setattr__(self, "D2", D2)
         object.__setattr__(self, "D3", float(self.D3))
         object.__setattr__(self, "D1_pinv", D1_pinv)
+        object.__setattr__(self, "u_star", u_star)
         object.__setattr__(self, "range_rhs",
                            float(D2 @ D1_pinv @ D2 - self.D3))
 
@@ -117,8 +122,8 @@ def delta_w(gt: GainTerms, u) -> float:
 
 
 def optimal_input_unconstrained(gt: GainTerms) -> np.ndarray:
-    """Minimum-norm member -D1^+ D2' of the set-valued optimum."""
-    return -gt.D1_pinv @ gt.D2
+    """Minimum-norm member -D1^+ D2' of the set-valued optimum (gt.u_star)."""
+    return gt.u_star
 
 
 def optimal_input_constrained(gt: GainTerms, polytope: InputPolytope) -> np.ndarray:
@@ -129,12 +134,12 @@ def optimal_input_constrained(gt: GainTerms, polytope: InputPolytope) -> np.ndar
 def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:
     """(in_range, range_nonempty) for input u.
 
-    The range is {u : ||u + D1^+ D2'||^2_D1 < gt.range_rhs}; it is
+    The range is {u : ||u - gt.u_star||^2_D1 < gt.range_rhs}; it is
     nonempty iff gt.range_rhs is nonnegative. Boundary points count
     as outside (the predicted change there is zero, not a decrease).
     """
     u = np.asarray(u, dtype=float).reshape(gt.D2.size)
-    v = u + gt.D1_pinv @ gt.D2
+    v = u - gt.u_star
     lhs = float(v @ gt.D1 @ v)
     return (gt.range_rhs >= 0.0 and lhs < gt.range_rhs), gt.range_rhs >= 0.0
 
@@ -142,16 +147,16 @@ def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:
 def convergence_ellipse(gt: GainTerms, n_points: int) -> np.ndarray:
     """Boundary polyline of the convergence range for 2-D inputs.
 
-    Samples the ellipse ||u + D1^+ D2'||^2_D1 = gt.range_rhs at n_points
-    equally spaced parameter angles starting at 0. Requires full-rank D1 and a
-    nonempty range; a zero-radius range yields n_points copies of the
-    center.
+    Samples the ellipse ||u - gt.u_star||^2_D1 = gt.range_rhs at n_points
+    equally spaced parameter angles starting at 0, on D1's eigenpairs from
+    the curvature memo. Requires full-rank D1 and a nonempty range; a
+    zero-radius range yields n_points copies of the center.
     """
     if gt.D2.size != 2:
         raise InputError("ellipse emission supports 2-D inputs only")
     if n_points < 1:
         raise InputError("n_points must be >= 1")
-    w, V = np.linalg.eigh(gt.D1)
+    _, _, w, V = _curvature(gt.D1)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise InputError("D1 is rank deficient: range unbounded in flat direction")
     if gt.range_rhs < 0.0:
@@ -159,4 +164,4 @@ def convergence_ellipse(gt: GainTerms, n_points: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(n_points) / n_points
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     radii = np.sqrt(gt.range_rhs / w)
-    return -gt.D1_pinv @ gt.D2 + (circle * radii) @ V.T
+    return gt.u_star + (circle * radii) @ V.T

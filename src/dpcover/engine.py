@@ -67,10 +67,8 @@ class StepRecord:
     k: int
     y: np.ndarray
     u: np.ndarray
-    u_unconstrained: np.ndarray
-    gains: controller.GainTerms
+    gains: controller.GainTerms  # gains.u_star is the unconstrained optimum
     delta_w_pred: float
-    delta_w_unconstrained: float
     local_w: float
     in_range: bool
     range_nonempty: bool
@@ -110,33 +108,33 @@ class _AgentCtx:
         self.active = True
         self.steps_done = 0
         self.masses: list[float] = []
-        # (k, selection, W^2 at selection time) awaiting the P-step lookahead
+        # (selection, W^2 at selection time, record) of the last steps, up
+        # to P, awaiting the P-step lookahead
         self.pending: deque = deque()
         self.outputs: list[np.ndarray] = [self.y.copy()]  # y^0, y^1, ...
 
 
-def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
-    """Stage A + dynamics step + Stage B for one agent. Returns None when
-    the agent's view of the cloud is already empty (agent deactivates)."""
+def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
+    """Stage A + dynamics step + Stage B for one active agent.
+
+    The agent's view of the cloud is never empty here. Stage C leaves
+    every view at or above the elementwise minimum of all views, and float
+    summation is monotone, so the view holds at least the unclaimed mass,
+    which exceeds REMAINING_MASS_EPS while the run goes on (run's `done`).
+    """
     t0 = time.perf_counter()
-    remaining = ctx.weights.sum()
-    if remaining <= REMAINING_MASS_EPS:
-        ctx.active = False
-        return None
     positions = ctx.cloud_positions
     selection = transport.select_local_samples(ctx.weights, positions, ctx.q_bar, ctx.alpha)
     alpha_used = selection.total_mass
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
-    u_unc = controller.optimal_input_unconstrained(gt)
     if ctx.constraints is not None:
         u = controller.optimal_input_constrained(gt, ctx.constraints)
         slack = ctx.constraints.Du - ctx.constraints.Cu @ u
         constraint_active = bool(np.any(slack <= 1e-9))
     else:
-        u = u_unc
+        u = controller.optimal_input_unconstrained(gt)
         constraint_active = False
     dw = controller.delta_w(gt, u)
-    dw_unc = controller.delta_w(gt, u_unc)
     in_range, nonempty = controller.convergence_check(gt, u)
     local_w = transport.local_wasserstein(selection, ctx.y)
     stage_a_ms = (time.perf_counter() - t0) * 1e3
@@ -146,7 +144,7 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
 
     t1 = time.perf_counter()
     plan = transport.weight_update(positions, ctx.weights, y_new,
-                                   min(alpha_used, remaining))
+                                   min(alpha_used, ctx.weights.sum()))
     ctx.weights -= plan.gammas
     stage_b_ms = (time.perf_counter() - t1) * 1e3
 
@@ -158,21 +156,18 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord | None:
     ctx.outputs.append(y_new.copy())
 
     record = StepRecord(
-        agent=ctx.idx, k=k, y=y_new, u=np.asarray(u, dtype=float),
-        u_unconstrained=np.asarray(u_unc, dtype=float), gains=gt,
-        delta_w_pred=dw, delta_w_unconstrained=dw_unc, local_w=local_w,
+        agent=ctx.idx, k=k, y=y_new, u=np.asarray(u, dtype=float), gains=gt,
+        delta_w_pred=dw, local_w=local_w,
         in_range=in_range, range_nonempty=nonempty,
         bound_violation=violated, input_constraint_active=constraint_active,
         exhausted=selection.exhausted,
         stage_a_ms=stage_a_ms, stage_b_ms=stage_b_ms,
     )
-    ctx.pending.append((k, selection, local_w ** 2, record))
-    # resolve lookaheads that are now P steps old
-    while ctx.pending and ctx.pending[0][0] - 1 + ctx.sys.P <= ctx.steps_done:
-        k0, sel, w2_then, rec = ctx.pending.popleft()
-        # steps are 1-indexed while outputs[0] is the initial output
-        y_ahead = ctx.outputs[k0 - 1 + ctx.sys.P]
-        d2 = np.sum((sel.points - y_ahead) ** 2, axis=1)
+    ctx.pending.append((selection, local_w ** 2, record))
+    if len(ctx.pending) == ctx.sys.P:
+        # the head's selection was made P steps before y_new
+        sel, w2_then, rec = ctx.pending.popleft()
+        d2 = transport._squared_distances(sel.points, y_new)
         rec.realized_delta_w = float(sel.taken @ d2) - w2_then
 
     if selection.exhausted or ctx.steps_done >= ctx.budget:
@@ -202,8 +197,7 @@ def run(scenario: Scenario) -> RunResult:
     max_k = max(scenario.budgets)
     for k in range(1, max_k + 1):
         live = [a for a in agents if a.active]  # nonempty: `done` ends the loop first
-        step_records = [r for r in (_agent_step(a, k) for a in live)
-                        if r is not None]
+        step_records = [_agent_step(a, k) for a in live]
 
         t2 = time.perf_counter()
         # stage B leaves each weight 0 or >= WEIGHT_SNAP; minima keep that
@@ -215,8 +209,8 @@ def run(scenario: Scenario) -> RunResult:
             rec.stage_c_ms = stage_c_ms
         records.extend(step_records)
 
-        done = unclaimed < REMAINING_MASS_EPS or not any(a.active for a in agents)
-        if (k % scenario.global_w_interval == 0 or done or k == max_k) and step_records:
+        done = unclaimed <= REMAINING_MASS_EPS or not any(a.active for a in agents)
+        if k % scenario.global_w_interval == 0 or done or k == max_k:
             pts = np.vstack([p for a in agents for p in a.outputs[1:]])
             masses = np.concatenate([np.asarray(a.masses) for a in agents])
             w2, sub = transport.global_wasserstein(

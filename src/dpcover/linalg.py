@@ -115,10 +115,10 @@ def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
     """Primal active-set solver for  min u'D1u + 2D2u  s.t.  u in polytope.
 
     q is the checked quadratic, a controller.GainTerms: symmetric PSD D1
-    with its pseudoinverse D1_pinv. Flat directions of D1 are resolved
-    toward the minimum-norm optimizer: the unconstrained minimum-norm
-    point -D1_pinv D2 is returned directly when feasible, and otherwise a
-    final null-space polish shrinks the solution as far as the constraints
+    with its unconstrained minimum-norm optimum u_star = -D1^+ D2'. Flat
+    directions of D1 are resolved toward the minimum-norm optimizer:
+    u_star itself is returned when feasible, and otherwise a final
+    null-space polish shrinks the solution as far as the constraints
     allow. Feasibility, stationarity, multiplier signs and flatness are
     all judged at the fixed relative tolerance 1e-8.
     """
@@ -129,7 +129,7 @@ def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
     if Cu.shape[1] != m:
         raise InputError("constraint dimensions inconsistent with D1")
 
-    u0 = -q.D1_pinv @ g
+    u0 = q.u_star
     if np.all(Cu @ u0 <= Du + tol):
         residual = H @ u0 + g
         if np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(g)):

@@ -171,8 +171,10 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
     Both clouds are renormalized to unit mass. Clouds with more than cap
     positive-mass points are first reduced to cap equal-weight points on
     the fixed comb of _systematic_subsample; the returned flag reports
-    whether any subsampling happened.
+    whether any subsampling happened. cap must be an integer >= 1.
     """
+    if not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise InputError(f"cap must be an integer >= 1, got {cap!r}")
     points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
     weights_a = np.asarray(weights_a, dtype=float)

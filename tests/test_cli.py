@@ -191,17 +191,23 @@ def test_ellipse_plot_inverts_each_distinct_d1_once(scenario_file, tmp_path,
     first_agent = [r for r in rows if r[0] == "0"]
     distinct = {tuple(r[c] for c in d1_cols) for r in first_agent}
     assert len(first_agent) == 8 and len(distinct) < len(first_agent)
-    calls = []
-    pinv = controller.pseudo_inverse
+    calls = {"pinv": 0, "eigh": 0}
 
-    def counting(M):
-        calls.append(M)
-        return pinv(M)
+    def counting(key, fn):
+        def wrapped(M):
+            calls[key] += 1
+            return fn(M)
+        return wrapped
 
     monkeypatch.setattr(controller, "_curvatures", {})
-    monkeypatch.setattr(controller, "pseudo_inverse", counting)
+    monkeypatch.setattr(controller, "pseudo_inverse",
+                        counting("pinv", controller.pseudo_inverse))
+    # the PSD check and every drawn boundary share one eigh per distinct D1
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     assert run_cli("plot", "--out", out, "--kind", "ellipses") == 0
-    assert len(calls) == len(distinct)
+    svg = (out / "ellipses.svg").read_text()
+    assert svg.count("stroke-dasharray") == len(first_agent) + 1  # all drawn
+    assert calls == {"pinv": len(distinct), "eigh": len(distinct)}
 
 
 def test_ellipses_skip_empty_range_boundary():

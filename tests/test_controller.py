@@ -15,7 +15,7 @@ from dpcover.controller import (GainTerms, convergence_check,
                                 optimal_input_unconstrained)
 from dpcover.dynamics import make_preset, output, step_events
 from dpcover.errors import InputError
-from dpcover.linalg import InputPolytope
+from dpcover.linalg import InputPolytope, solve_psd_qp
 from dpcover.transport import LocalSelection, select_local_samples
 
 from conftest import integrator_chain
@@ -132,6 +132,18 @@ def test_constrained_box_clips():
 def test_constrained_box_contains_optimum():
     u = optimal_input_constrained(first_order_gains(), box(2, 10.0))
     assert np.allclose(u, [3.0, 4.0], atol=1e-8)
+
+
+def test_both_optima_return_u_star_when_it_is_feasible(rng):
+    """u* = -D1^+ D2' is derived once, in GainTerms: the analytic input
+    and the QP on a polytope that contains it both hand back its bits."""
+    for _ in range(20):
+        sys = integrator_chain(int(rng.integers(1, 4)), 2, 0.1, rng)
+        gt = gain_terms(sys, rng.normal(size=sys.n), rng.normal(size=2), 0.3)
+        assert gt.u_star.tobytes() == (-gt.D1_pinv @ gt.D2).tobytes()
+        assert optimal_input_unconstrained(gt).tobytes() == gt.u_star.tobytes()
+        polytope = box(sys.m, 2.0 * float(np.abs(gt.u_star).max()) + 1.0)
+        assert solve_psd_qp(gt, polytope).tobytes() == gt.u_star.tobytes()
 
 
 def test_constrained_never_beats_unconstrained(rng):
@@ -271,10 +283,14 @@ def test_memo_hit_is_bit_identical_to_a_cold_build(monkeypatch):
     cold = GainTerms(D1=D1, D2=D2, D3=D3)
     hit = GainTerms(D1=D1.copy(), D2=D2, D3=D3)
     assert hit.D1 is cold.D1 and hit.D1_pinv is cold.D1_pinv
+    hit_curvature = controller._curvature(D1)
     monkeypatch.setattr(controller, "_curvatures", {})
     fresh = GainTerms(D1=D1, D2=D2, D3=D3)
     assert fresh.D1 is not cold.D1
-    for name in ("D1", "D1_pinv"):
+    # symmetrised D1, D1^+ and the eigenpairs
+    for a, b in zip(hit_curvature, controller._curvature(D1), strict=True):
+        assert a.tobytes() == b.tobytes()
+    for name in ("D1", "D1_pinv", "u_star"):
         assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes()
     assert np.float64(hit.range_rhs).tobytes() == np.float64(fresh.range_rhs).tobytes()
 
@@ -302,10 +318,11 @@ def test_shared_curvature_is_read_only(cold_memo):
     first = GainTerms(D1=np.eye(2), D2=np.ones(2), D3=0.0)
     second = GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=1.0)
     assert second.D1 is first.D1
-    for arr in (first.D1, first.D1_pinv):
+    for arr in (first.D1, first.D1_pinv, first.u_star,
+                *controller._curvature(first.D1)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[0, 0] = 5.0
+            arr[...] = 5.0
     assert second.D1_pinv.tobytes() == np.eye(2).tobytes()
 
 

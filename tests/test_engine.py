@@ -1,6 +1,8 @@
 """Full step-loop orchestration: hand traces, determinism, mass ledger."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from dpcover.dynamics import make_preset
 from dpcover.engine import Scenario, run
 from dpcover.errors import InputError
 from dpcover.linalg import TRANSPORT_SIZE_CAP, InputPolytope
+from dpcover.scenario import build_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def uniform_cloud(points):
@@ -131,6 +136,30 @@ def test_realized_matches_prediction_without_clamps():
     for r in resolved:
         assert r.realized_delta_w == pytest.approx(r.delta_w_pred, abs=1e-10)
         assert not r.bound_violation
+
+
+def cut_quadrotor_desk(budgets):
+    doc = json.loads((SCENARIO_DIR / "quadrotor_desk.json").read_text())
+    for agent, m_steps in zip(doc["agents"], budgets, strict=True):
+        agent["M"] = m_steps
+    doc["global_w_cap"] = 100  # one small final W2; the records do not read it
+    return build_scenario(doc, base_dir=SCENARIO_DIR)
+
+
+@pytest.mark.parametrize("P", [1, 4])
+def test_lookahead_resolves_all_but_the_last_p_minus_1_steps(P):
+    """Every active agent steps each round, and a step's realized change
+    is resolved once the agent has taken P - 1 more steps."""
+    if P == 1:
+        scenario = dataclasses.replace(first_order_scenario(), budgets=[20, 30])
+    else:
+        scenario = cut_quadrotor_desk([30, 24])
+    assert {sys.P for sys in scenario.systems} == {P}
+    res = run(scenario)
+    steps = [len(t) for t in res.trajectories]
+    assert len(res.records) == sum(steps) == sum(scenario.budgets)
+    for r in res.records:
+        assert (r.realized_delta_w is not None) == (r.k <= steps[r.agent] - P + 1)
 
 
 def test_unconstrained_first_order_strictly_decreases():

@@ -289,6 +289,14 @@ def test_global_wasserstein_subsampling_flag_and_determinism(rng):
     assert abs(v1 - exact) < 0.5
 
 
+@pytest.mark.parametrize("cap", [0, -2, 2.5])
+def test_global_wasserstein_rejects_a_cap_below_one_or_fractional(cap, rng):
+    pts = rng.uniform(0, 10, size=(5, 2))
+    w = np.full(5, 0.2)
+    with pytest.raises(InputError, match="cap must be an integer >= 1"):
+        global_wasserstein(pts, w, pts, w, cap=cap)
+
+
 def test_global_wasserstein_empty_cloud_rejected():
     with pytest.raises(InputError):
         global_wasserstein(np.zeros((0, 2)), np.zeros(0),
