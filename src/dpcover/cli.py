@@ -203,9 +203,7 @@ def cmd_plot(args) -> int:
                                    D3=float(r[cols["d3"]]))
                     steps.append({"k": k, "gains": gt,
                                   "u": np.array([float(r[cols["u1"]]),
-                                                 float(r[cols["u2"]])]),
-                                  "u_unc": np.array([float(r[cols["uu1"]]),
-                                                     float(r[cols["uu2"]])])})
+                                                 float(r[cols["u2"]])])})
             svg = plot_ellipses(steps)
         out_path = out_dir / f"{args.kind}.svg"
         out_path.write_text(svg, encoding="utf-8")

@@ -45,11 +45,11 @@ class Scenario:
             raise InputError("systems, initial_states, budgets must align")
         if not self.systems:
             raise InputError("need at least one agent")
-        if any(m < 1 for m in self.budgets):
-            raise InputError("budgets must be >= 1")
-        if self.global_w_interval < 1:
-            raise InputError("global_w_interval must be >= 1")
-        if not 1 <= self.global_w_cap <= linalg.TRANSPORT_SIZE_CAP:
+        sizes = [*self.budgets, self.global_w_interval, self.global_w_cap]
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
+               for v in sizes):
+            raise InputError("budgets, global_w_interval, global_w_cap must be integers >= 1")
+        if self.global_w_cap > linalg.TRANSPORT_SIZE_CAP:
             raise InputError(f"global_w_cap must be in 1..{linalg.TRANSPORT_SIZE_CAP}")
         polytope = self.input_constraints
         for sys, x0 in zip(self.systems, self.initial_states):
@@ -106,12 +106,11 @@ class _AgentCtx:
         self.y = dynamics.output(sys, self.x)
         self.q_bar = self.y.copy()  # previous-step mass center, starts at y^0
         self.active = True
-        self.steps_done = 0
         self.masses: list[float] = []
         # (selection, W^2 at selection time, record) of the last steps, up
         # to P, awaiting the P-step lookahead
         self.pending: deque = deque()
-        self.outputs: list[np.ndarray] = [self.y.copy()]  # y^0, y^1, ...
+        self.outputs: list[np.ndarray] = []  # y^1, y^2, ...
 
 
 def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
@@ -143,17 +142,17 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
     y_new = dynamics.output(ctx.sys, x_new)
 
     t1 = time.perf_counter()
-    plan = transport.weight_update(positions, ctx.weights, y_new,
-                                   min(alpha_used, ctx.weights.sum()))
-    ctx.weights -= plan.gammas
+    # alpha_used is a sum of this view's live weights: it exceeds their
+    # total by ulps at most, and then every live weight is taken whole
+    plan = transport.weight_update(positions, ctx.weights, y_new, alpha_used)
+    ctx.weights[plan.indices] -= plan.gammas
     stage_b_ms = (time.perf_counter() - t1) * 1e3
 
     ctx.x = x_new
     ctx.y = y_new
     ctx.q_bar = selection.mass_center
-    ctx.steps_done += 1
     ctx.masses.append(alpha_used)
-    ctx.outputs.append(y_new.copy())
+    ctx.outputs.append(y_new)
 
     record = StepRecord(
         agent=ctx.idx, k=k, y=y_new, u=np.asarray(u, dtype=float), gains=gt,
@@ -170,7 +169,7 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
         d2 = transport._squared_distances(sel.points, y_new)
         rec.realized_delta_w = float(sel.taken @ d2) - w2_then
 
-    if selection.exhausted or ctx.steps_done >= ctx.budget:
+    if selection.exhausted or len(ctx.outputs) >= ctx.budget:
         ctx.active = False
     return record
 
@@ -211,7 +210,7 @@ def run(scenario: Scenario) -> RunResult:
 
         done = unclaimed <= REMAINING_MASS_EPS or not any(a.active for a in agents)
         if k % scenario.global_w_interval == 0 or done or k == max_k:
-            pts = np.vstack([p for a in agents for p in a.outputs[1:]])
+            pts = np.vstack([p for a in agents for p in a.outputs])
             masses = np.concatenate([np.asarray(a.masses) for a in agents])
             w2, sub = transport.global_wasserstein(
                 pts, masses, cloud.positions, cloud.weights,
@@ -220,8 +219,7 @@ def run(scenario: Scenario) -> RunResult:
         if done:
             break
 
-    trajectories = [np.vstack(a.outputs[1:]) if a.steps_done else np.empty((0, 2))
-                    for a in agents]
+    trajectories = [np.vstack(a.outputs) for a in agents]  # every agent steps at k = 1
     masses = [np.asarray(a.masses) for a in agents]
     return RunResult(records=records, trajectories=trajectories,
                      trajectory_masses=masses, global_w=global_w, alpha=alpha)

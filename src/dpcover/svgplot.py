@@ -121,7 +121,7 @@ def plot_trajectories(trajectories: dict[int, np.ndarray],
 
 def plot_series(series: dict[int, tuple[np.ndarray, np.ndarray]],
                 title: str, y_label: str) -> str:
-    """One line per agent (key -1 = aggregate) of a scalar vs step index."""
+    """One line per series key (an agent, or 0) of a scalar vs step index."""
     if not series:
         raise InputError("nothing to plot")
     frame = _series_frame([s[0] for s in series.values()],
@@ -134,11 +134,11 @@ def plot_series(series: dict[int, tuple[np.ndarray, np.ndarray]],
 
 
 def plot_ellipses(steps: list[dict]) -> str:
-    """Convergence-range boundaries plus the constrained and unconstrained
-    input traces over a step window, in input space. A step whose range is
-    empty has no boundary; its inputs still appear in the traces.
+    """Convergence-range boundaries plus the input u and the unconstrained
+    optimum gains.u_star traced over a step window, in input space. A step
+    whose range is empty has no boundary; its inputs stay on the traces.
 
-    Each entry needs keys k, gains (GainTerms), u, u_unc.
+    Each entry needs keys k, gains (GainTerms), u.
     """
     if not steps:
         raise InputError("empty window")
@@ -147,8 +147,9 @@ def plot_ellipses(steps: list[dict]) -> str:
         gt: GainTerms = entry["gains"]
         if gt.range_rhs >= 0.0:
             boundaries.append(convergence_ellipse(gt, 128))
-    all_pts = np.vstack(boundaries + [np.array([e["u"] for e in steps]),
-                                      np.array([e["u_unc"] for e in steps])])
+    u_trace = np.array([e["u"] for e in steps])
+    uu_trace = np.array([e["gains"].u_star for e in steps])
+    all_pts = np.vstack(boundaries + [u_trace, uu_trace])
     frame = _Frame(all_pts[:, 0].min(), all_pts[:, 0].max(),
                    all_pts[:, 1].min(), all_pts[:, 1].max())
     els = _axes(frame, "u1", "u2")
@@ -156,8 +157,6 @@ def plot_ellipses(steps: list[dict]) -> str:
         closed = np.vstack([boundary, boundary[:1]])
         els.append(_polyline(frame, closed[:, 0], closed[:, 1], "#888888",
                              width=1.0, dash="4 3"))
-    u_trace = np.array([e["u"] for e in steps])
-    uu_trace = np.array([e["u_unc"] for e in steps])
     els.append(_polyline(frame, u_trace[:, 0], u_trace[:, 1], "#1f77b4", width=1.6))
     els.append(_polyline(frame, uu_trace[:, 0], uu_trace[:, 1], "#d62728",
                          width=1.6, dash="6 3"))

@@ -38,9 +38,10 @@ class LocalSelection:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Weight-update plan: gammas[j] is the mass moved from sample j."""
+    """Weight-update plan, the claim itself: no other sample moves."""
 
-    gammas: np.ndarray
+    indices: np.ndarray  # (k,) sample indices, each once, fill order
+    gammas: np.ndarray   # (k,) moved masses, > 0
 
 
 # no weight is left below this but above 0: "weight > 0" is roundoff-stable
@@ -87,8 +88,10 @@ def _fill_nearest(weights, keys, demand: float):
 
 
 def _squared_distances(points, center):
-    d = points - np.asarray(center, dtype=float).reshape(2)
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    """The one squared-distance kernel: (N, 2) points to one (2,) centre,
+    (N,), or to an (m, 1, 2) block of centres, (m, N)."""
+    d = points - center
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
 
 
 def select_local_samples(weights, positions, prev_center, alpha: float) -> LocalSelection:
@@ -102,11 +105,12 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     positions = np.asarray(positions, dtype=float)
     if not alpha > 0:
         raise InputError("alpha must be positive")
+    prev_center = np.asarray(prev_center, dtype=float).reshape(2)
     with np.errstate(divide="ignore", invalid="ignore"):
         keys = np.sqrt(_squared_distances(positions, prev_center)) / weights
+    # every take is > 0: a whole take is a live weight, and the fill stops at
+    # the first cum >= alpha - 1e-15, so a partial one is > 1e-15 - ulp
     idx, taken, exhausted = _fill_nearest(weights, keys, alpha)
-    keep = taken > 0
-    idx, taken = idx[keep], taken[keep]
     pts = positions[idx]
     center = (taken @ pts) / taken.sum()
     return LocalSelection(indices=idx, taken=taken, points=pts,
@@ -119,30 +123,31 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     The LP (minimize sum gamma_j ||y - q_j||^2 s.t. 0 <= gamma <= beta,
     sum gamma = alpha_next) is solved by its greedy closed form: fill
     gamma_j = min(beta_j, remaining demand) in ascending squared distance,
-    ties broken by ascending index. A last take that would leave less than
-    WEIGHT_SNAP takes the weight whole: weights - gammas keeps the rule.
+    ties broken by ascending index; alpha_next = 0 claims nothing. A last
+    take that would leave less than WEIGHT_SNAP takes the weight whole.
+    ExhaustionError if alpha_next exceeds the live mass by over 1e-12.
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if not alpha_next >= 0:
         raise InputError("alpha_next must be nonnegative")
-    gammas = np.zeros_like(weights)
     if alpha_next == 0:
-        return TransportPlan(gammas)
-    if alpha_next > weights.sum() + 1e-12:
+        return TransportPlan(np.empty(0, dtype=np.intp), np.empty(0))
+    agent_pos = np.asarray(agent_pos, dtype=float).reshape(2)
+    idx, fill, exhausted = _fill_nearest(weights, _squared_distances(positions, agent_pos),
+                                         alpha_next)
+    if exhausted and alpha_next > fill.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
-    idx, fill, _ = _fill_nearest(weights, _squared_distances(positions, agent_pos),
-                                 alpha_next)
     if weights[idx[-1]] - fill[-1] < WEIGHT_SNAP:
         fill[-1] = weights[idx[-1]]
-    gammas[idx] = fill
-    return TransportPlan(gammas)
+    return TransportPlan(idx, fill)
 
 
 def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
     """sqrt(sum of claimed mass times squared distance to the agent)."""
     if selection.taken.size == 0:
         raise InputError("empty selection")
+    agent_pos = np.asarray(agent_pos, dtype=float).reshape(2)
     return float(np.sqrt(selection.taken @ _squared_distances(selection.points, agent_pos)))
 
 
@@ -173,7 +178,7 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
     the fixed comb of _systematic_subsample; the returned flag reports
     whether any subsampling happened. cap must be an integer >= 1.
     """
-    if not isinstance(cap, (int, np.integer)) or cap < 1:
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
         raise InputError(f"cap must be an integer >= 1, got {cap!r}")
     points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
@@ -197,7 +202,6 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
     # rebalance exactly after the independent renormalizations
     wa = wa / wa.sum()
     wb = wb / wb.sum()
-    diff = points_a[:, None, :] - points_b[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    cost = _squared_distances(points_b, points_a[:, None, :])
     _, total = solve_transport_exact(TransportProblem(wa, wb, cost))
     return float(np.sqrt(max(total, 0.0))), subsampled

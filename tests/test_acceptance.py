@@ -28,6 +28,7 @@ from dpcover.transport import weight_update
 from conftest import first_order_doc, integrator_chain
 from test_controller import random_selection, simulate_delta_w
 from test_linalg import enumerate_transport_optimum, random_balanced, w2
+from test_transport import _dense
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -147,15 +148,15 @@ def test_criterion_05_greedy_matches_lp(rng, announce):
         weights = rng.random(n) / n + 1e-3
         y = rng.uniform(-4, 4, 2)
         alpha = float(rng.uniform(0.05, 0.95)) * weights.sum()
-        plan = weight_update(positions, weights, y, alpha)
-        assert plan.gammas.sum() == pytest.approx(alpha, abs=1e-12)
-        assert np.all(plan.gammas >= 0.0)
-        assert np.all(plan.gammas <= weights + 1e-12)
+        gammas = _dense(weight_update(positions, weights, y, alpha), n)
+        assert gammas.sum() == pytest.approx(alpha, abs=1e-12)
+        assert np.all(gammas >= 0.0)
+        assert np.all(gammas <= weights + 1e-12)
         d = np.sum((positions - y) ** 2, axis=1)
         cost = np.column_stack([d, np.zeros(n)])
         demand = np.array([alpha, weights.sum() - alpha])
         _, lp_cost = solve_transport_exact(TransportProblem(weights, demand, cost))
-        assert float(plan.gammas @ d) == pytest.approx(lp_cost, abs=1e-9)
+        assert float(gammas @ d) == pytest.approx(lp_cost, abs=1e-9)
     announce(5, "500 instances, greedy cost equals LP optimum within 1e-9")
 
 

@@ -182,6 +182,22 @@ def test_ellipse_window_count(scenario_file, tmp_path):
     assert svg.count("stroke-dasharray") == 5
 
 
+def test_ellipse_plot_reads_u_star_from_the_gain_terms(scenario_file, tmp_path):
+    """The unconstrained trace is the rebuilt GainTerms' u_star: the uu1
+    and uu2 cells of gains.csv are not read."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    assert run_cli("plot", "--out", out, "--kind", "ellipses") == 0
+    want = (out / "ellipses.svg").read_bytes()
+    header, rows = read_csv(out / "gains.csv")
+    for row in rows:
+        row[header.index("uu1")] = row[header.index("uu2")] = "garbled"
+    with open(out / "gains.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert run_cli("plot", "--out", out, "--kind", "ellipses") == 0
+    assert (out / "ellipses.svg").read_bytes() == want
+
+
 def test_ellipse_plot_inverts_each_distinct_d1_once(scenario_file, tmp_path,
                                                    monkeypatch):
     out = tmp_path / "out"
@@ -216,7 +232,7 @@ def test_ellipses_skip_empty_range_boundary():
     # but its inputs stay on both traces
     def entry(k, d3, u):
         return {"k": k, "gains": GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=d3),
-                "u": np.array(u), "u_unc": np.zeros(2)}
+                "u": np.array(u)}
 
     svg = plot_ellipses([entry(1, -1.0, [0.1, 0.0]), entry(2, 0.5, [3.0, 0.0]),
                          entry(3, -1.0, [0.0, 0.1])])
@@ -232,7 +248,7 @@ def test_ellipses_rank_deficient_step():
     def steps(d3):
         return [{"k": 1, "gains": GainTerms(D1=np.diag([1.0, 0.0]), D2=np.zeros(2),
                                             D3=d3),
-                 "u": np.zeros(2), "u_unc": np.zeros(2)}]
+                 "u": np.zeros(2)}]
 
     with pytest.raises(InputError, match="rank deficient"):
         plot_ellipses(steps(-1.0))

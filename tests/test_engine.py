@@ -258,6 +258,25 @@ def test_constrained_step_inverts_d1_once(monkeypatch):
     assert calls == {"pinv": len(set(d1)), "matrix_power": 0}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("global_w_cap", 100.0), ("global_w_cap", True),
+    ("global_w_interval", 2.5), ("global_w_interval", True),
+    ("budgets", [2.5, 3]), ("budgets", [True, 3]),
+])
+def test_scenario_sizes_must_be_integers(field, value):
+    """A fractional or boolean budget, interval or cap fails when built,
+    not part-way through a run."""
+    with pytest.raises(InputError, match="global_w_cap must be integers >= 1"):
+        dataclasses.replace(first_order_scenario(), **{field: value})
+
+
+def test_scenario_takes_numpy_integer_sizes():
+    scenario = dataclasses.replace(first_order_scenario(), budgets=[np.int64(3)] * 2,
+                                   global_w_interval=np.int32(2),
+                                   global_w_cap=np.int64(40))
+    assert [k for k, _, _ in run(scenario).global_w] == [2, 3]
+
+
 @pytest.mark.parametrize("cap", [0, -5, TRANSPORT_SIZE_CAP + 1])
 def test_scenario_cap_within_solver_limit(cap):
     with pytest.raises(InputError, match="global_w_cap"):

@@ -57,6 +57,9 @@ def test_traced_run_fills_every_observer_counter(monkeypatch, tmp_path):
 
     counts = tracer.counts
     assert counts["engine.agent_steps"] == 40
+    # the claim counts the benchmark reports for this run: a change to what
+    # a selection or a weight-update plan claims shows here
+    assert counts["weight_update.claimed"] == counts["select_local_samples.claimed"] == 600
     for name in ("select_local_samples.claimed", "weight_update.claimed",
                  "sync_round.exchanges", "global_wasserstein.cost_cells"):
         assert counts[name] > 0, name

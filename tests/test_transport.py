@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 from dpcover.errors import ExhaustionError, InputError
 from dpcover.linalg import TransportProblem, solve_transport_exact
 from dpcover.transport import (_PREFIX, WEIGHT_SNAP, LocalSelection,
-                               _fill_nearest, global_wasserstein,
-                               local_wasserstein, select_local_samples,
-                               weight_update)
+                               _fill_nearest, _squared_distances,
+                               global_wasserstein, local_wasserstein,
+                               select_local_samples, weight_update)
+
+
+def _dense(plan, n):
+    """The plan as an n-vector: the mass moved from every sample."""
+    gammas = np.zeros(n)
+    gammas[plan.indices] = plan.gammas
+    return gammas
 
 
 # ------------------------------------------------------------------- selection
@@ -121,7 +128,7 @@ def test_weight_update_hand_example():
 
 def test_weight_update_zero_demand():
     plan = weight_update(np.zeros((3, 2)), np.full(3, 0.1), np.zeros(2), 0.0)
-    assert np.all(plan.gammas == 0.0)
+    assert plan.indices.size == plan.gammas.size == 0
 
 
 @pytest.mark.parametrize("alpha_next", [-0.1, np.nan])
@@ -142,7 +149,7 @@ def test_weight_update_demand_just_above_supply_takes_all():
     weights = np.array([0.1, 0.2, 0.0, 0.3])
     plan = weight_update(np.arange(8.0).reshape(4, 2), weights, np.zeros(2),
                          weights.sum() + 5e-13)
-    assert np.array_equal(plan.gammas, weights)
+    assert np.array_equal(_dense(plan, 4), weights)
 
 
 def test_weight_update_excess_demand_raises():
@@ -180,7 +187,10 @@ def test_weight_update_leaves_no_sub_snap_residue(n, demand_kind, seed):
               "cum": lambda: cum[i],
               "random": lambda: rng.uniform(0.0, cum[-1]),
               "total": lambda: cum[-1]}[demand_kind]()
-    left = weights - weight_update(positions, weights, y, float(demand)).gammas
+    plan = weight_update(positions, weights, y, float(demand))
+    assert np.unique(plan.indices).size == plan.indices.size
+    assert np.all(plan.gammas > 0)
+    left = weights - _dense(plan, n)
     assert not np.any(left < 0)
     assert not np.any((left > 0) & (left < WEIGHT_SNAP))
 
@@ -198,17 +208,17 @@ def test_weight_update_matches_exact_lp(rng):
         weights = rng.random(n) / n + 1e-3
         y = rng.uniform(-4, 4, 2)
         alpha = float(rng.uniform(0.05, 0.95)) * weights.sum()
-        plan = weight_update(positions, weights, y, alpha)
-        assert plan.gammas.sum() == pytest.approx(alpha, abs=1e-12)
-        assert np.all(plan.gammas >= 0)
-        assert np.all(plan.gammas <= weights + 1e-12)
+        gammas = _dense(weight_update(positions, weights, y, alpha), n)
+        assert gammas.sum() == pytest.approx(alpha, abs=1e-12)
+        assert np.all(gammas >= 0)
+        assert np.all(gammas <= weights + 1e-12)
 
         d = np.sum((positions - y) ** 2, axis=1)
         cost = np.column_stack([d, np.zeros(n)])
         demand = np.array([alpha, weights.sum() - alpha])
         lp_plan, lp_cost = solve_transport_exact(
             TransportProblem(weights, demand, cost))
-        assert float(plan.gammas @ d) == pytest.approx(lp_cost, abs=1e-9)
+        assert float(gammas @ d) == pytest.approx(lp_cost, abs=1e-9)
         assert np.allclose(lp_plan.sum(axis=1), weights, atol=1e-9)
 
 
@@ -242,6 +252,48 @@ def test_parallel_decomposition_identity(rng):
         rhs = (taken.sum() * np.sum((y - qbar) ** 2)
                + float(taken @ np.sum((pts - qbar) ** 2, axis=1)))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def test_squared_distances_block_equals_single_centres(rng):
+    """The global W2 cost matrix, one row per centre of an (m, 1, 2) block,
+    has the bits of m single-centre calls."""
+    for _ in range(50):
+        points = rng.uniform(-50, 50, size=(int(rng.integers(1, 40)), 2))
+        centres = rng.uniform(-50, 50, size=(int(rng.integers(1, 40)), 2))
+        block = _squared_distances(points, centres[:, None, :])
+        rows = np.array([_squared_distances(points, c) for c in centres])
+        assert block.tobytes() == rows.tobytes()
+
+
+CENTRE = np.array([0.5, -1.5])
+
+
+@pytest.mark.parametrize("centre", [[0.5, -1.5], (0.5, -1.5), CENTRE[None, :],
+                                    CENTRE[:, None], CENTRE.reshape(1, 1, 2)])
+def test_public_functions_take_any_two_element_centre(centre, rng):
+    positions = rng.uniform(-5, 5, size=(30, 2))
+    weights = np.full(30, 1 / 30)
+    sel = select_local_samples(weights, positions, centre, 0.2)
+    want = select_local_samples(weights, positions, CENTRE, 0.2)
+    assert np.array_equal(sel.indices, want.indices)
+    assert sel.mass_center.tobytes() == want.mass_center.tobytes()
+    plan = weight_update(positions, weights, centre, 0.2)
+    want_plan = weight_update(positions, weights, CENTRE, 0.2)
+    assert np.array_equal(plan.indices, want_plan.indices)
+    assert plan.gammas.tobytes() == want_plan.gammas.tobytes()
+    assert local_wasserstein(sel, centre) == local_wasserstein(want, CENTRE)
+
+
+@pytest.mark.parametrize("centre", [0.5, [0.5], [0.5, -1.5, 2.0], np.zeros((2, 2))])
+def test_public_functions_reject_a_centre_of_another_size(centre, rng):
+    positions = rng.uniform(-5, 5, size=(2, 2))
+    weights = np.full(2, 0.5)
+    sel = select_local_samples(weights, positions, CENTRE, 0.2)
+    for call in (lambda: select_local_samples(weights, positions, centre, 0.2),
+                 lambda: weight_update(positions, weights, centre, 0.2),
+                 lambda: local_wasserstein(sel, centre)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_global_wasserstein_identical_clouds():
@@ -289,7 +341,7 @@ def test_global_wasserstein_subsampling_flag_and_determinism(rng):
     assert abs(v1 - exact) < 0.5
 
 
-@pytest.mark.parametrize("cap", [0, -2, 2.5])
+@pytest.mark.parametrize("cap", [0, -2, 2.5, True])
 def test_global_wasserstein_rejects_a_cap_below_one_or_fractional(cap, rng):
     pts = rng.uniform(0, 10, size=(5, 2))
     w = np.full(5, 0.2)
@@ -313,6 +365,7 @@ def test_selection_mass_never_exceeds_supply(n, seed):
     weights = rng.random(n) / n
     alpha = float(rng.uniform(0.0, 1.5)) * max(weights.sum(), 1e-9) + 1e-9
     sel = select_local_samples(weights, positions, np.zeros(2), alpha)
+    assert np.all(sel.taken > 0)
     assert sel.total_mass <= min(alpha, weights.sum()) + 1e-12
     assert sel.exhausted == (weights.sum() < alpha - 1e-15)
 
@@ -394,6 +447,7 @@ def test_fill_nearest_matches_full_stable_sort(n, key_kind, demand_kind, spent,
                                                            live_keys, demand)
     assert np.array_equal(idx, want_idx)
     assert taken.tobytes() == want_taken.tobytes()
+    assert np.all(taken > 0)  # so a selection claims only what it takes
     assert exhausted == want_exhausted == (demand_kind == "above_total")
     if demand_kind == "deep" and n_live > DEEP:
         assert idx.size > DEEP
