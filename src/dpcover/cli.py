@@ -10,7 +10,9 @@ Outputs of `run` (all deterministic for a fixed scenario and seed):
   reference.csv     the reference cloud actually used (x,y,weight)
 
 Wall-time columns are written as 0.000 unless --timing is given, keeping
-the CSVs byte-reproducible across runs.
+the CSVs byte-reproducible across runs. `run --seed N` seeds the reference
+sample (the mixture's own `seed` if given, else the top-level one; an error
+for a file reference); `--k-interval K` sets the `global_w_interval` key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,16 +102,25 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                     "d3", "u1", "u2", "uu1", "uu2"], gain_rows)
 
 
+def _override_seed(doc: dict, seed: int) -> None:
+    """Set the reference sample's seed: the mixture's own, else the top-level one."""
+    ref = doc["reference"] if isinstance(doc.get("reference"), dict) else {}
+    if "file" in ref:
+        raise ScenarioError("--seed: a file reference draws no sample")
+    mixture = ref.get("mixture")
+    (mixture if isinstance(mixture, dict) and "seed" in mixture else doc)["seed"] = seed
+
+
 def cmd_run(args) -> int:
     try:
         path = Path(args.scenario)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        if args.seed is not None and isinstance(doc, dict):
-            # applied before the reference cloud is sampled
-            doc["seed"] = args.seed
+        if isinstance(doc, dict):  # else build_scenario rejects the document
+            if args.seed is not None:
+                _override_seed(doc, args.seed)
+            if args.k_interval is not None:
+                doc["global_w_interval"] = args.k_interval
         scenario = build_scenario(doc, base_dir=path.parent)
-        if args.k_interval is not None:
-            scenario = replace(scenario, global_w_interval=args.k_interval)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:  # bad document, file, override or --out
@@ -242,7 +252,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario and write CSVs")
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="seed override")
+    p_run.add_argument("--seed", type=int, default=None, help="reference sample seed")
     p_run.add_argument("--k-interval", type=int, default=None,
                        help="global-W evaluation interval override")
     p_run.add_argument("--timing", action="store_true",

@@ -16,20 +16,14 @@ checked quadratic, GainTerms, is the objective of the constrained QP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import LtiSystem
-from .errors import InputError
+from .errors import InputError, check_count
 from .linalg import InputPolytope, pseudo_inverse, solve_psd_qp
-
-
-# (symmetrised D1, D1^+, eigenvalues, eigenvectors) of each valid D1
-# _curvature has seen, by D1's (shape, bytes); emptied when full, so a run
-# whose D1 never repeats stays bounded
-_curvatures: dict[tuple, tuple[np.ndarray, ...]] = {}
-_CURVATURES_MAX = 16
 
 
 def _curvature(D1: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -41,12 +35,15 @@ def _curvature(D1: np.ndarray) -> tuple[np.ndarray, ...]:
     few distinct values (1 to 3 in the checked-in scenarios, where agents'
     claimed masses differ by an ulp and their steps interleave). Each is
     checked, decomposed by one eigh (the PSD check and the ellipse's axes)
-    and inverted once; the arrays returned are shared and read-only.
+    and inverted once, in an LRU cache on D1's shape and bytes that never
+    stores an invalid D1; the arrays returned are shared and read-only.
     """
-    key = (D1.shape, D1.tobytes())
-    hit = _curvatures.get(key)
-    if hit is not None:
-        return hit
+    return _curvature_of(D1.shape, D1.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _curvature_of(shape: tuple, data: bytes) -> tuple[np.ndarray, ...]:
+    D1 = np.frombuffer(data).reshape(shape)
     if not np.all(np.isfinite(D1)):
         raise InputError("non-finite gain terms")
     if np.abs(D1 - D1.T).max() > 1e-10 * max(np.abs(D1).max(), 1.0):
@@ -58,9 +55,6 @@ def _curvature(D1: np.ndarray) -> tuple[np.ndarray, ...]:
     entry = (D1, pseudo_inverse(D1), w, V)
     for arr in entry:
         arr.flags.writeable = False
-    if len(_curvatures) >= _CURVATURES_MAX:
-        _curvatures.clear()
-    _curvatures[key] = entry
     return entry
 
 
@@ -154,8 +148,7 @@ def convergence_ellipse(gt: GainTerms, n_points: int) -> np.ndarray:
     """
     if gt.D2.size != 2:
         raise InputError("ellipse emission supports 2-D inputs only")
-    if n_points < 1:
-        raise InputError("n_points must be >= 1")
+    check_count(n_points, "n_points", 1)
     _, _, w, V = _curvature(gt.D1)
     if w[0] <= 1e-12 * max(w[-1], 1e-300):
         raise InputError("D1 is rank deficient: range unbounded in flat direction")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 
 MAX_DRAWS_PER_SAMPLE = 1000  # rejection-sampling budget per requested sample
 
@@ -80,8 +80,8 @@ class MixtureSpec:
             raise InputError("mixture needs at least one component")
         if abs(total - 1.0) > 1e-9:
             raise InputError("mixing weights must sum to 1")
-        if self.n_samples < 1:
-            raise InputError("n_samples must be >= 1")
+        check_count(self.n_samples, "n_samples", 1)
+        check_count(self.seed, "seed", 0)
         x_min, x_max, y_min, y_max = map(float, self.domain)
         if x_min >= x_max or y_min >= y_max:
             raise InputError("empty domain")
@@ -166,7 +166,5 @@ def agent_alpha(agent_budgets) -> float:
     budgets = list(agent_budgets)
     if not budgets:
         raise InputError("need at least one agent")
-    if any(int(m) < 1 or int(m) != m for m in budgets):
-        raise InputError("budgets must be integers >= 1")
-    return 1.0 / sum(int(m) for m in budgets)
+    return 1.0 / int(sum(check_count(m, "budget", 1) for m in budgets))
 

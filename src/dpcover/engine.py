@@ -22,7 +22,7 @@ from . import controller, coordination, dynamics, linalg, transport
 from .coordination import CommConfig
 from .distribution import SampleCloud, agent_alpha
 from .dynamics import LtiSystem
-from .errors import InputError
+from .errors import InputError, check_count
 
 REMAINING_MASS_EPS = 1e-9
 
@@ -45,10 +45,10 @@ class Scenario:
             raise InputError("systems, initial_states, budgets must align")
         if not self.systems:
             raise InputError("need at least one agent")
-        sizes = [*self.budgets, self.global_w_interval, self.global_w_cap]
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1
-               for v in sizes):
-            raise InputError("budgets, global_w_interval, global_w_cap must be integers >= 1")
+        for m in self.budgets:
+            check_count(m, "budget", 1)
+        check_count(self.global_w_interval, "global_w_interval", 1)
+        check_count(self.global_w_cap, "global_w_cap", 1)
         if self.global_w_cap > linalg.TRANSPORT_SIZE_CAP:
             raise InputError(f"global_w_cap must be in 1..{linalg.TRANSPORT_SIZE_CAP}")
         polytope = self.input_constraints

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one count check."""
+
+import numpy as np
 
 
 class DpcoverError(Exception):
@@ -23,3 +25,10 @@ class ExhaustionError(DpcoverError):
 
 class ScenarioError(DpcoverError, ValueError):
     """Scenario file violates the schema or is internally inconsistent."""
+
+
+def check_count(value, name: str, minimum: int):
+    """value if it is an int or np.integer (not a bool) >= minimum, else InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

@@ -15,7 +15,7 @@ from .coordination import CommConfig
 from .distribution import MixtureSpec, SampleCloud, load_points, sample_mixture
 from .dynamics import LtiSystem, make_preset
 from .engine import Scenario
-from .errors import InfeasibleError, InputError, ScenarioError
+from .errors import InfeasibleError, InputError, ScenarioError, check_count
 from .linalg import TRANSPORT_SIZE_CAP, InputPolytope
 
 SCHEMA_VERSION = 1
@@ -34,9 +34,10 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
 
 def _integer(value, where: str, minimum: int) -> int:
     """value if it is a JSON integer >= minimum (booleans are not integers)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ScenarioError(f"{where} must be an integer >= {minimum}")
-    return value
+    try:
+        return check_count(value, where, minimum)
+    except InputError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _real(value, where: str, ndim: int | None = 0):
@@ -100,16 +101,11 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
                     f"mixture component {i}")
         comps.append(tuple(_real(comp[k], f"mixture component {i}.{k}", ndim)
                            for k, ndim in (("mean", 1), ("cov", 2), ("weight", 0))))
+    domain = tuple(_real(mix["domain"], "reference.mixture.domain", 1))
     try:
-        ms = MixtureSpec(components=tuple(comps),
-                         n_samples=_integer(mix["n_samples"],
-                                            "reference.mixture.n_samples", 1),
-                         seed=_integer(mix.get("seed", default_seed),
-                                       "reference.mixture.seed", 0),
-                         domain=tuple(_real(mix["domain"], "reference.mixture.domain", 1)))
-        return sample_mixture(ms)
-    except ScenarioError:
-        raise
+        return sample_mixture(MixtureSpec(components=tuple(comps), domain=domain,
+                                          n_samples=mix["n_samples"],
+                                          seed=mix.get("seed", default_seed)))
     except Exception as exc:
         raise ScenarioError(f"reference.mixture: {exc}") from exc
 
@@ -181,12 +177,8 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     try:
         return Scenario(systems=systems, initial_states=states, budgets=budgets,
                         cloud=cloud, comm=comm, input_constraints=constraints,
-                        global_w_interval=_integer(doc.get("global_w_interval", 50),
-                                                   "global_w_interval", 1),
-                        global_w_cap=_integer(doc.get("global_w_cap", TRANSPORT_SIZE_CAP),
-                                              "global_w_cap", 1))
-    except ScenarioError:
-        raise
+                        global_w_interval=doc.get("global_w_interval", 50),
+                        global_w_cap=doc.get("global_w_cap", TRANSPORT_SIZE_CAP))
     except Exception as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustionError, InputError
+from .errors import ExhaustionError, InputError, check_count
 from .linalg import TRANSPORT_SIZE_CAP, TransportProblem, solve_transport_exact
 
 
@@ -47,8 +47,8 @@ class TransportPlan:
 # no weight is left below this but above 0: "weight > 0" is roundoff-stable
 WEIGHT_SNAP = 1e-12
 
-# keys _fill_nearest ranks before it falls back to the full order; a claim
-# of alpha takes a few samples (at most 16 in the benchmark workloads)
+# keys _fill_nearest ranks first; a claim of alpha takes a few samples (at
+# most 16 in the benchmark workloads)
 _PREFIX = 64
 
 
@@ -59,12 +59,11 @@ def _fill_nearest(weights, keys, demand: float):
     less than demand; ExhaustionError if none is live. A spent sample is
     keyed NaN, which numpy ranks after every live key, +inf included.
 
-    First only the tie-closed prefix of the k = min(_PREFIX, live count)
-    smallest keys is ranked (np.partition), sorted stably from ascending
-    index order: exactly the head of the full stable order, so when it
-    holds the demand its cumsum and the result equal those of the full
-    stable argsort bit for bit. Otherwise the whole cloud is sorted and
-    its first live-count entries are ranked.
+    Only a tie-closed prefix is ranked: every key <= the k-th smallest
+    (np.partition), sorted stably from index order, is exactly the head of
+    the full stable order, so the result equals that of the full stable
+    argsort bit for bit. k = min(_PREFIX, live count), grown once to the
+    live count (the whole live set) when that prefix holds less than demand.
     """
     live = weights > 0
     n_live = np.count_nonzero(live)
@@ -72,13 +71,12 @@ def _fill_nearest(weights, keys, demand: float):
         raise ExhaustionError("all sample-point weights are zero")
     keys = np.where(live, keys, np.nan)
     target = demand - 1e-15
-    k = min(_PREFIX, n_live)
-    head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
-    order = head[np.argsort(keys[head], kind="stable")]
-    cum = np.cumsum(weights[order])
-    if cum[-1] < target:
-        order = np.argsort(keys, kind="stable")[:n_live]
+    for k in (min(_PREFIX, n_live), n_live):
+        head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
+        order = head[np.argsort(keys[head], kind="stable")]
         cum = np.cumsum(weights[order])
+        if cum[-1] >= target or order.size >= n_live:
+            break
     exhausted = cum[-1] < target
     n_take = order.size if exhausted else int(np.searchsorted(cum, target)) + 1
     taken = weights[order[:n_take]]
@@ -178,8 +176,7 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
     the fixed comb of _systematic_subsample; the returned flag reports
     whether any subsampling happened. cap must be an integer >= 1.
     """
-    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise InputError(f"cap must be an integer >= 1, got {cap!r}")
+    check_count(cap, "cap", 1)
     points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
     weights_a = np.asarray(weights_a, dtype=float)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from dpcover.scenario import load_scenario
 from dpcover.svgplot import plot_ellipses
 
 from conftest import first_order_doc
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -82,6 +85,36 @@ def test_run_seed_override(scenario_file, tmp_path):
     ref_a = (out_a / "reference.csv").read_bytes()
     ref_b = (out_b / "reference.csv").read_bytes()
     assert ref_a != ref_b  # seed feeds the mixture sampler
+
+
+def test_run_seed_sets_the_mixture_seed(tmp_path):
+    """A document whose mixture gives its own seed (the checked-in desk)
+    draws its reference from --seed, not from the shadowed top-level seed."""
+    doc = json.loads((SCENARIO_DIR / "first_order_desk.json").read_text())
+    for agent in doc["agents"]:
+        agent["M"] = 3
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(doc))
+    refs = {}
+    for seed in (None, 99, doc["reference"]["mixture"]["seed"]):
+        out = tmp_path / f"out-{seed}"
+        extra = () if seed is None else ("--seed", seed)
+        assert run_cli("run", "--scenario", path, "--out", out, *extra) == 0
+        refs[seed] = (out / "reference.csv").read_bytes()
+    assert refs[99] != refs[None]
+    assert refs[doc["reference"]["mixture"]["seed"]] == refs[None]
+
+
+def test_run_seed_with_a_file_reference_is_an_error(tmp_path, capsys):
+    (tmp_path / "ref.csv").write_text("1,1\n2,2\n3,1\n")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(first_order_doc(reference={"file": "ref.csv"})))
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", path, "--out", out) == 0
+    assert run_cli("run", "--scenario", path, "--out", tmp_path / "seeded",
+                   "--seed", 3) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "seeded").exists()
 
 
 def test_run_determinism_bytes(scenario_file, tmp_path):
@@ -215,7 +248,7 @@ def test_ellipse_plot_inverts_each_distinct_d1_once(scenario_file, tmp_path,
             return fn(M)
         return wrapped
 
-    monkeypatch.setattr(controller, "_curvatures", {})
+    controller._curvature_of.cache_clear()
     monkeypatch.setattr(controller, "pseudo_inverse",
                         counting("pinv", controller.pseudo_inverse))
     # the PSD check and every drawn boundary share one eigh per distinct D1

@@ -249,6 +249,14 @@ def test_ellipse_rank_deficient_rejected():
         convergence_ellipse(gt, 16)
 
 
+@pytest.mark.parametrize("n_points", [2.5, True])
+def test_ellipse_point_count_must_be_an_integer(n_points):
+    gt = GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=-1.0)
+    with pytest.raises(InputError, match="n_points must be an integer"):
+        convergence_ellipse(gt, n_points)
+    assert convergence_ellipse(gt, np.int64(3)).shape == (3, 2)
+
+
 def test_ellipse_empty_range_rejected():
     gt = GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=0.5)
     with pytest.raises(InputError):
@@ -258,8 +266,8 @@ def test_ellipse_empty_range_rejected():
 # ------------------------------------------------------------ curvature memo
 
 @pytest.fixture
-def cold_memo(monkeypatch):
-    monkeypatch.setattr(controller, "_curvatures", {})
+def cold_memo():
+    controller._curvature_of.cache_clear()
 
 
 @pytest.mark.parametrize("D1, message", [
@@ -276,15 +284,15 @@ def test_memo_never_admits_an_invalid_d1(cold_memo, D1, message):
     assert GainTerms(D1=np.eye(2), D2=np.zeros(2), D3=0.0).D1 is valid.D1
 
 
-def test_memo_hit_is_bit_identical_to_a_cold_build(monkeypatch):
+def test_memo_hit_is_bit_identical_to_a_cold_build():
     D1 = 0.2 * np.array([[1.3, 0.1 + 1e-17], [0.1, 0.7]])  # symmetric within tolerance
     D2, D3 = np.array([-0.61, 0.37]), 0.25
-    monkeypatch.setattr(controller, "_curvatures", {})
+    controller._curvature_of.cache_clear()
     cold = GainTerms(D1=D1, D2=D2, D3=D3)
     hit = GainTerms(D1=D1.copy(), D2=D2, D3=D3)
     assert hit.D1 is cold.D1 and hit.D1_pinv is cold.D1_pinv
     hit_curvature = controller._curvature(D1)
-    monkeypatch.setattr(controller, "_curvatures", {})
+    controller._curvature_of.cache_clear()
     fresh = GainTerms(D1=D1, D2=D2, D3=D3)
     assert fresh.D1 is not cold.D1
     # symmetrised D1, D1^+ and the eigenpairs
@@ -309,9 +317,11 @@ def test_memo_serves_interleaved_d1_and_stays_bounded(cold_memo, monkeypatch):
         gt = GainTerms(D1=d1s[step % 2], D2=np.ones(2), D3=0.0)
         assert gt.D1.tobytes() == d1s[step % 2].tobytes()
     assert len(calls) == 2
-    for scale in range(1, 3 * controller._CURVATURES_MAX):
+    info = controller._curvature_of.cache_info()
+    for scale in range(1, 3 * info.maxsize):
         GainTerms(D1=scale * np.eye(2), D2=np.ones(2), D3=0.0)
-        assert len(controller._curvatures) <= controller._CURVATURES_MAX
+        info = controller._curvature_of.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def test_shared_curvature_is_read_only(cold_memo):

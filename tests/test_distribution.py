@@ -140,6 +140,30 @@ def test_agent_alpha_empty_rejected():
         agent_alpha([])
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: single_gaussian(2.5), "n_samples"),
+    (lambda: single_gaussian(True), "n_samples"),
+    (lambda: single_gaussian(10, seed=-1), "seed"),
+    (lambda: single_gaussian(10, seed=2.5), "seed"),
+    (lambda: agent_alpha([True]), "budget"),
+    (lambda: agent_alpha([2.0]), "budget"),
+], ids=["n_samples-fraction", "n_samples-bool", "seed-negative", "seed-fraction",
+        "budget-bool", "budget-float"])
+def test_counts_must_be_integers(build, name):
+    """A count is an int or numpy integer, never a bool or a float that
+    happens to be whole, and is rejected with InputError, not a raw
+    TypeError or ValueError from the sampler."""
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        build()
+
+
+def test_counts_take_numpy_integers():
+    cloud = sample_mixture(single_gaussian(np.int64(50), seed=np.int64(4)))
+    assert np.array_equal(cloud.positions,
+                          sample_mixture(single_gaussian(50, seed=4)).positions)
+    assert agent_alpha([np.int64(1500), np.int32(3000)]) == 1.0 / 4500
+
+
 def test_cloud_invariants():
     with pytest.raises(InputError):
         SampleCloud(positions=np.zeros((2, 2)), weights=np.array([0.5, 0.6]))

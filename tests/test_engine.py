@@ -243,7 +243,7 @@ def test_constrained_step_inverts_d1_once(monkeypatch):
         return wrapped
 
     pinv = counting("pinv", linalg.pseudo_inverse)
-    monkeypatch.setattr(controller, "_curvatures", {})
+    controller._curvature_of.cache_clear()
     monkeypatch.setattr(controller, "pseudo_inverse", pinv)
     monkeypatch.setattr(linalg, "pseudo_inverse", pinv)
     monkeypatch.setattr(np.linalg, "matrix_power",
@@ -266,7 +266,7 @@ def test_constrained_step_inverts_d1_once(monkeypatch):
 def test_scenario_sizes_must_be_integers(field, value):
     """A fractional or boolean budget, interval or cap fails when built,
     not part-way through a run."""
-    with pytest.raises(InputError, match="global_w_cap must be integers >= 1"):
+    with pytest.raises(InputError, match="must be an integer >= 1"):
         dataclasses.replace(first_order_scenario(), **{field: value})
 
 

@@ -349,6 +349,13 @@ def test_global_wasserstein_rejects_a_cap_below_one_or_fractional(cap, rng):
         global_wasserstein(pts, w, pts, w, cap=cap)
 
 
+def test_global_wasserstein_takes_a_numpy_integer_cap(rng):
+    pts = rng.uniform(0, 10, size=(5, 2))
+    w = np.full(5, 0.2)
+    assert (global_wasserstein(pts, w, pts[::-1], w, cap=np.int64(3))
+            == global_wasserstein(pts, w, pts[::-1], w, cap=3))
+
+
 def test_global_wasserstein_empty_cloud_rejected():
     with pytest.raises(InputError):
         global_wasserstein(np.zeros((0, 2)), np.zeros(0),
