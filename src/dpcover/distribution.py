@@ -124,14 +124,19 @@ def load_points(path) -> SampleCloud:
     """Read a cloud from CSV rows "x,y" or "x,y,weight" (optional header).
 
     Missing weights default to uniform; weights are normalized to sum 1.
+    Trailing empty cells are ignored; any other empty cell is an InputError.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for raw in reader:
-            cells = [c.strip() for c in raw if c.strip() != ""]
+            cells = [c.strip() for c in raw]
+            while cells and not cells[-1]:
+                cells.pop()  # trailing empty cells, and blank lines, are fine
             if not cells:
                 continue
+            if "" in cells:  # an empty cell would shift the columns after it
+                raise InputError(f"empty cell in row {raw!r} of {path}")
             try:
                 values = [float(c) for c in cells]
             except ValueError:

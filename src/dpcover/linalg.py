@@ -107,8 +107,23 @@ def _null_space(A: np.ndarray, m: int) -> np.ndarray:
     if A.size == 0:
         return np.eye(m)
     U, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
     return Vt[rank:].T
+
+
+def _step_to_bound(Cu, Du, x, d, rows):
+    """(t, i): the largest step t along d keeping every listed row with
+    Cu[i] @ d > 1e-12 feasible, and the lowest row i that sets it; (inf,
+    None) if none limits it. Each ratio is formed row by row: a vectorised
+    Cu @ x can differ from Cu[i] @ x in the last bit."""
+    move = Cu @ d
+    t, hit = np.inf, None
+    for i in rows:
+        if move[i] > 1e-12:
+            ratio = (Du[i] - Cu[i] @ x) / move[i]
+            if ratio < t:
+                t, hit = ratio, i
+    return t, hit
 
 
 def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
@@ -119,86 +134,62 @@ def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
     directions of D1 are resolved toward the minimum-norm optimizer:
     u_star itself is returned when feasible, and otherwise a final
     null-space polish shrinks the solution as far as the constraints
-    allow. Feasibility, stationarity, multiplier signs and flatness are
-    all judged at the fixed relative tolerance 1e-8.
+    allow. The working set is a boolean mask over the rows of Cu; the one
+    ratio test _step_to_bound cuts every step (flat descent, Newton, polish).
+    Feasibility, stationarity, multiplier signs and flatness are all
+    judged at the fixed relative tolerance 1e-8.
     """
     tol = 1e-8
     H, g, Cu, Du = q.D1, q.D2, polytope.Cu, polytope.Du
-    m = H.shape[0]
-    n_con = Cu.shape[0]
+    m, n_con = H.shape[0], Cu.shape[0]
     if Cu.shape[1] != m:
         raise InputError("constraint dimensions inconsistent with D1")
 
     u0 = q.u_star
     if np.all(Cu @ u0 <= Du + tol):
-        residual = H @ u0 + g
-        if np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(g)):
+        if np.linalg.norm(H @ u0 + g) <= tol * (1.0 + np.linalg.norm(g)):
             return u0
 
     x = polytope.interior.copy()
-    work = set(np.nonzero(Cu @ x >= Du - 1e-11)[0].tolist())
+    work = Cu @ x >= Du - 1e-11  # the working set: rows held at equality
     h_scale = max(np.abs(H).max(), np.abs(g).max(), 1.0)
 
     for _ in range(50 * (m + n_con + 1)):
-        idx = sorted(work)
-        A_w = Cu[idx] if idx else np.empty((0, m))
+        idx, free = np.flatnonzero(work), np.flatnonzero(~work)
+        A_w = Cu[idx]
         Z = _null_space(A_w, m)
         grad = H @ x + g
 
         p = np.zeros(m)
-        unbounded_dir = None
         if Z.shape[1] > 0:
-            Hr = Z.T @ H @ Z
-            rhs = -(Z.T @ grad)
-            w, V = np.linalg.eigh(Hr)
+            w, V = np.linalg.eigh(Z.T @ H @ Z)
             pos = w > 1e-12 * max(w[-1], h_scale * 1e-12, 1e-300)
-            coeffs = V.T @ rhs
+            coeffs = V.T @ -(Z.T @ grad)
             # component of the gradient living in a flat direction: descend it
-            flat = coeffs.copy()
-            flat[pos] = 0.0
+            flat = np.where(pos, 0.0, coeffs)
             if np.linalg.norm(flat) > tol * h_scale:
-                unbounded_dir = Z @ (V @ flat)
-                unbounded_dir /= np.linalg.norm(unbounded_dir)
-            else:
-                pr = V @ np.where(pos, coeffs / np.where(pos, w, 1.0), 0.0)
-                p = Z @ pr
-
-        if unbounded_dir is not None:
-            d = unbounded_dir
-            denom = Cu @ d
-            ratios = [(Du[i] - Cu[i] @ x) / denom[i]
-                      for i in range(n_con) if i not in work and denom[i] > 1e-12]
-            if not ratios:
-                raise InfeasibleError("objective unbounded below over the polytope")
-            step = min(ratios)
-            x = x + step * d
-            work = set(np.nonzero(Cu @ x >= Du - 1e-9)[0].tolist())
-            continue
+                d = Z @ (V @ flat)
+                d /= np.linalg.norm(d)
+                t, i = _step_to_bound(Cu, Du, x, d, free)
+                if i is None:
+                    raise InfeasibleError("objective unbounded below over the polytope")
+                x = x + t * d
+                work = Cu @ x >= Du - 1e-9
+                continue
+            p = Z @ (V @ np.where(pos, coeffs / np.where(pos, w, 1.0), 0.0))
 
         if np.linalg.norm(p) <= 1e-12 * (1.0 + np.linalg.norm(x)):
-            if not idx:
-                break
             lam, *_ = np.linalg.lstsq(A_w.T, -2.0 * grad, rcond=None)
-            if np.all(lam >= -tol * h_scale):
+            neg = lam < -tol * h_scale
+            if not neg.any():
                 break
-            # Bland: drop the lowest-index violating constraint
-            drop = next(i for i, l in zip(idx, lam) if l < -tol * h_scale)
-            work.discard(drop)
+            work[idx[np.argmax(neg)]] = False  # Bland: the lowest-index row
             continue
 
-        alpha = 1.0
-        blocking = None
-        denom = Cu @ p
-        for i in range(n_con):
-            if i in work or denom[i] <= 1e-12:
-                continue
-            ratio = (Du[i] - Cu[i] @ x) / denom[i]
-            if ratio < alpha:
-                alpha = ratio
-                blocking = i
-        x = x + alpha * p
-        if blocking is not None and alpha < 1.0:
-            work.add(blocking)
+        t, i = _step_to_bound(Cu, Du, x, p, free)
+        x = x + min(t, 1.0) * p
+        if t < 1.0:
+            work[i] = True
     else:
         raise InputError("active-set iteration limit exceeded")
 
@@ -208,13 +199,8 @@ def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
         z = -(Z0.T @ x)
         if np.linalg.norm(z) > 0:
             d = Z0 @ z
-            t = 1.0
-            slack = Du - Cu @ x
-            move = Cu @ d
-            for i in range(n_con):
-                if move[i] > 1e-12:
-                    t = min(t, slack[i] / move[i])
-            x = x + max(t, 0.0) * d
+            t, _ = _step_to_bound(Cu, Du, x, d, range(n_con))
+            x = x + max(min(t, 1.0), 0.0) * d
     return x
 
 

@@ -8,6 +8,7 @@ cloud's own sample indices, and 2-Wasserstein diagnostics between clouds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,13 @@ def _fill_nearest(weights, keys, demand: float):
     return order[:n_take], taken, exhausted
 
 
+def _finite_centre(c, name: str) -> np.ndarray:
+    c = np.asarray(c, dtype=float).reshape(2)
+    if not (math.isfinite(c[0]) and math.isfinite(c[1])):  # ~10x np.isfinite(c).all()
+        raise InputError(f"{name} must be finite, got {c}")
+    return c
+
+
 def _squared_distances(points, center):
     """The one squared-distance kernel: (N, 2) points to one (2,) centre,
     (N,), or to an (m, 1, 2) block of centres, (m, N)."""
@@ -103,7 +111,7 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     positions = np.asarray(positions, dtype=float)
     if not alpha > 0:
         raise InputError("alpha must be positive")
-    prev_center = np.asarray(prev_center, dtype=float).reshape(2)
+    prev_center = _finite_centre(prev_center, "prev_center")
     with np.errstate(divide="ignore", invalid="ignore"):
         keys = np.sqrt(_squared_distances(positions, prev_center)) / weights
     # every take is > 0: a whole take is a live weight, and the fill stops at
@@ -129,9 +137,9 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     weights = np.asarray(weights, dtype=float)
     if not alpha_next >= 0:
         raise InputError("alpha_next must be nonnegative")
+    agent_pos = _finite_centre(agent_pos, "agent_pos")
     if alpha_next == 0:
         return TransportPlan(np.empty(0, dtype=np.intp), np.empty(0))
-    agent_pos = np.asarray(agent_pos, dtype=float).reshape(2)
     idx, fill, exhausted = _fill_nearest(weights, _squared_distances(positions, agent_pos),
                                          alpha_next)
     if exhausted and alpha_next > fill.sum() + 1e-12:
@@ -145,7 +153,7 @@ def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
     """sqrt(sum of claimed mass times squared distance to the agent)."""
     if selection.taken.size == 0:
         raise InputError("empty selection")
-    agent_pos = np.asarray(agent_pos, dtype=float).reshape(2)
+    agent_pos = _finite_centre(agent_pos, "agent_pos")
     return float(np.sqrt(selection.taken @ _squared_distances(selection.points, agent_pos)))
 
 

@@ -127,6 +127,21 @@ def test_load_points_nonfinite_rejected(tmp_path):
         load_points(f)
 
 
+@pytest.mark.parametrize("text", ["1.0,,0.5\n2,2\n", "0,0\n,1,2\n", "0,0,1\n1,,2\n"])
+def test_load_points_rejects_an_empty_cell_before_the_last_value(tmp_path, text):
+    f = tmp_path / "pts.csv"
+    f.write_text(text)
+    with pytest.raises(InputError, match="empty cell"):
+        load_points(f)
+
+
+def test_load_points_accepts_trailing_empty_cells_and_blank_lines(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_text("x,y,\n\n1.0,2.0,\n,,\n3.0,4.0\n")
+    cloud = load_points(f)
+    assert np.array_equal(cloud.positions, [[1.0, 2.0], [3.0, 4.0]])
+
+
 # ------------------------------------------------------------------------ mass
 
 def test_agent_alpha_table_values():

@@ -167,6 +167,23 @@ def test_qp_flat_direction_minimum_norm():
     assert qp_objective(H, g, u) <= oracle + 1e-6
 
 
+def test_qp_polish_moves_an_interior_flat_coordinate_to_the_minimum_norm_point():
+    # u2 is flat and u2 >= 1; the loop ends at (0.7, 2) from the interior
+    # (2, 2) with an empty working set, and the polish takes u2 down to 1
+    poly = InputPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                         np.array([3.0, 3.0, 3.0, -1.0]))
+    assert np.array_equal(poly.interior, [2.0, 2.0])
+    u = solve_psd_qp(quadratic(np.diag([1.0, 0.0]), np.array([-0.7, 0.0])), poly)
+    assert np.allclose(u, [0.7, 1.0], rtol=0.0, atol=1e-12)
+
+
+def test_qp_unbounded_below_raises():
+    # the linear objective 2 u1 falls without bound on the half-plane u1 <= 1
+    poly = InputPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(InfeasibleError, match="unbounded below"):
+        solve_psd_qp(quadratic(np.zeros((2, 2)), np.array([1.0, 0.0])), poly)
+
+
 def test_qp_non_psd_rejected():
     with pytest.raises(InputError, match="positive semidefinite"):
         quadratic(np.diag([1.0, -1.0]), np.zeros(2))
@@ -194,7 +211,32 @@ def _kkt_residual(H, g, Cu, Du, u, tol=1e-6):
     return float(np.linalg.norm(Cu[active].T @ lam + grad))
 
 
+def _random_polytope(rng, m):
+    """3-6 unit-normal rows at random margins around a random centre c;
+    returns the polytope and c."""
+    n = int(rng.integers(3, 7))
+    Cu = rng.normal(size=(n, m))
+    Cu /= np.linalg.norm(Cu, axis=1, keepdims=True)
+    c = rng.normal(size=m)
+    return InputPolytope(Cu, Cu @ c + rng.uniform(0.2, 3.0, size=n)), c
+
+
+def _unbounded_below(H, g, Cu):
+    """Whether some direction d with Cu d <= 0 and H d = 0 has g'd < 0."""
+    from scipy.linalg import null_space
+    from scipy.optimize import linprog
+
+    Z = null_space(H)
+    if Z.shape[1] == 0:
+        return False
+    res = linprog(Z.T @ g, A_ub=Cu @ Z, b_ub=np.zeros(Cu.shape[0]),
+                  bounds=[(-1.0, 1.0)] * Z.shape[1], method="highs")
+    return res.status == 0 and res.fun < -1e-9
+
+
 def test_qp_kkt_property_random(rng):
+    # boxes, whose rows have coefficients 0 and +-1, and general polytopes,
+    # where a row-by-row and a vectorised Cu @ x can differ in the last bit
     for _ in range(300):
         m = int(rng.integers(1, 4))
         R = rng.normal(size=(m, m))
@@ -203,15 +245,22 @@ def test_qp_kkt_property_random(rng):
             H = R.T @ np.diag([1.0] * (m - 1) + [0.0]) @ R if m > 1 else np.zeros((1, 1))
             H = (H + H.T) / 2
         g = rng.normal(size=m)
-        poly = box(m, float(rng.uniform(0.2, 3.0)))
-        Cu, Du = poly.Cu, poly.Du
-        u = solve_psd_qp(quadratic(H, g), poly)
-        assert np.all(Cu @ u <= Du + 1e-8)
-        assert _kkt_residual(H, g, Cu, Du, u) <= 1e-6
-        # no random feasible point may beat the returned objective
-        cand = rng.uniform(-Du[0], Du[0], size=(50, m))
-        vals = np.einsum("ij,jk,ik->i", cand, H, cand) + 2.0 * cand @ g
-        assert qp_objective(H, g, u) <= vals.min() + 1e-8
+        hi = float(rng.uniform(0.2, 3.0))
+        for poly, centre, reach in ((box(m, hi), np.zeros(m), hi),
+                                    (*_random_polytope(rng, m), 3.0)):
+            Cu, Du = poly.Cu, poly.Du
+            try:
+                u = solve_psd_qp(quadratic(H, g), poly)
+            except InfeasibleError:
+                assert _unbounded_below(H, g, Cu)
+                continue
+            assert np.all(Cu @ u <= Du + 1e-8)
+            assert _kkt_residual(H, g, Cu, Du, u) <= 1e-6
+            # no random feasible point may beat the returned objective
+            cand = centre + rng.uniform(-reach, reach, size=(50, m))
+            cand = cand[np.all(cand @ Cu.T <= Du, axis=1)]
+            vals = np.einsum("ij,jk,ik->i", cand, H, cand) + 2.0 * cand @ g
+            assert qp_objective(H, g, u) <= vals.min(initial=np.inf) + 1e-8
 
 
 # ------------------------------------------------------------------ transport

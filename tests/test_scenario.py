@@ -176,6 +176,16 @@ def test_reference_file_relative_to_scenario(tmp_path):
     assert sc.cloud.n_points == 3
 
 
+def test_reference_file_with_an_empty_cell_is_a_scenario_error(tmp_path):
+    (tmp_path / "pts.csv").write_text("1,1\n2,,2\n3,3\n")
+    doc = first_order_doc()
+    doc["reference"] = {"file": "pts.csv"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="empty cell"):
+        load_scenario(path)
+
+
 def test_mixture_seed_defaults_to_scenario_seed():
     a = build_scenario(first_order_doc(seed=11))
     b = build_scenario(first_order_doc(seed=12))

@@ -296,6 +296,19 @@ def test_public_functions_reject_a_centre_of_another_size(centre, rng):
             call()
 
 
+@pytest.mark.parametrize("centre", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan]])
+def test_public_functions_reject_a_non_finite_centre(centre):
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    weights = np.full(4, 0.25)
+    sel = select_local_samples(weights, positions, CENTRE, 0.2)
+    for call in (lambda: select_local_samples(weights, positions, centre, 0.2),
+                 lambda: weight_update(positions, weights, centre, 0.2),
+                 lambda: weight_update(positions, weights, centre, 0.0),
+                 lambda: local_wasserstein(sel, centre)):
+        with pytest.raises(InputError, match="must be finite"):
+            call()
+
+
 def test_global_wasserstein_identical_clouds():
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
     w = np.array([0.5, 0.5])
