@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -136,7 +137,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a run CSV as {column: cell} maps; the header must name `columns`."""
     if not path.exists():
         raise InputError(f"missing {path}; run the scenario first")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -144,77 +146,68 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         header = next(reader, None)
         if header is None:
             raise InputError(f"empty file {path}")
+        if missing := [c for c in columns if c not in header]:
+            raise InputError(f"{path}: no column {', '.join(missing)}")
         rows = []
         for row in reader:
             if len(row) != len(header):
                 raise InputError(f"{path} line {reader.line_num}: {len(row)} cells, "
                                  f"the header has {len(header)}")
-            rows.append(row)
-    return header, rows
+            rows.append(dict(zip(header, row)))
+    return rows
+
+
+def _window(rows: list[dict[str, str]], lo: float, hi: float,
+            *columns: str) -> dict[int, np.ndarray]:
+    """The named columns of the rows with lo <= k <= hi, as one float array
+    per agent (a file without an agent column is agent 0); InputError("empty
+    window") when no row is left."""
+    by_agent: dict[int, list] = {}
+    for row in rows:
+        if lo <= int(row["k"]) <= hi:
+            by_agent.setdefault(int(row.get("agent", 0)), []).append(
+                [float(row[c]) for c in columns])
+    if not by_agent:
+        raise InputError("empty window")
+    return {agent: np.array(values) for agent, values in by_agent.items()}
+
+
+_SERIES = {"deltaw": ("metrics.csv", "delta_w", "Predicted change in squared local W2",
+                      "delta W"),
+           "globalw": ("global_w.csv", "w2", "Global 2-Wasserstein distance", "W2")}
+_GAINS = ("d1_11", "d1_12", "d1_22", "d2_1", "d2_2", "d3", "u1", "u2")
 
 
 def cmd_plot(args) -> int:
     out_dir = Path(args.out)
-    lo, hi = (args.window if args.window else (None, None))
-    if lo is not None and hi < lo:
+    lo, hi = args.window or (-math.inf, math.inf)
+    if hi < lo:
         print("error: empty window", file=sys.stderr)
         return 2
-
-    def in_window(k: int) -> bool:
-        return (lo is None or lo <= k) and (hi is None or k <= hi)
-
     try:
         if args.kind == "trajectories":
-            _, rows = _read_csv(out_dir / "trajectories.csv")
-            _, ref_rows = _read_csv(out_dir / "reference.csv")
-            trajs: dict[int, list] = {}
-            for agent, k, y1, y2 in rows:
-                if in_window(int(k)):
-                    trajs.setdefault(int(agent), []).append((float(y1), float(y2)))
-            trajs_np = {a: np.asarray(v) for a, v in trajs.items()}
-            ref = np.asarray([[float(x), float(y)] for x, y, _ in ref_rows])
-            svg = plot_trajectories(trajs_np, ref)
-        elif args.kind == "deltaw":
-            header, rows = _read_csv(out_dir / "metrics.csv")
-            ai, ki, vi = (header.index(c) for c in ("agent", "k", "delta_w"))
-            series: dict[int, tuple[list, list]] = {}
-            for row in rows:
-                if in_window(int(row[ki])):
-                    ks, vs = series.setdefault(int(row[ai]), ([], []))
-                    ks.append(int(row[ki]))
-                    vs.append(float(row[vi]))
-            svg = plot_series({a: (np.asarray(k), np.asarray(v))
-                               for a, (k, v) in series.items()},
-                              "Predicted change in squared local W2", "delta W")
-        elif args.kind == "globalw":
-            _, rows = _read_csv(out_dir / "global_w.csv")
-            pairs = [(int(k), float(w)) for k, w, _ in rows if in_window(int(k))]
-            if not pairs:
-                raise InputError("empty window")
-            ks, ws = zip(*pairs)
-            svg = plot_series({0: (np.asarray(ks), np.asarray(ws))},
-                              "Global 2-Wasserstein distance", "W2")
+            rows = _read_csv(out_dir / "trajectories.csv", ("agent", "k", "y1", "y2"))
+            ref = np.array([[float(r["x"]), float(r["y"])]
+                            for r in _read_csv(out_dir / "reference.csv", ("x", "y"))])
+            svg = plot_trajectories(_window(rows, lo, hi, "y1", "y2"), ref)
+        elif args.kind in _SERIES:
+            name, column, title, y_label = _SERIES[args.kind]
+            rows = _read_csv(out_dir / name, ("k", column))
+            svg = plot_series({a: tuple(v.T) for a, v in
+                               _window(rows, lo, hi, "k", column).items()}, title, y_label)
         else:  # ellipses: argparse admits only PLOT_KINDS
             if not (out_dir / "gains.csv").exists():
                 raise InputError("no gains.csv: it is written only for 2-input runs")
-            header, rows = _read_csv(out_dir / "gains.csv")
-            cols = {c: header.index(c) for c in header}
-            agents = sorted({int(r[cols["agent"]]) for r in rows})
-            first = agents[0] if agents else 0
-            steps = []
-            for r in rows:
-                k = int(r[cols["k"]])
-                if int(r[cols["agent"]]) == first and in_window(k):
-                    d1 = np.array([[float(r[cols["d1_11"]]), float(r[cols["d1_12"]])],
-                                   [float(r[cols["d1_12"]]), float(r[cols["d1_22"]])]])
-                    gt = GainTerms(D1=d1,
-                                   D2=np.array([float(r[cols["d2_1"]]),
-                                                float(r[cols["d2_2"]])]),
-                                   D3=float(r[cols["d3"]]))
-                    steps.append({"k": k, "gains": gt,
-                                  "u": np.array([float(r[cols["u1"]]),
-                                                 float(r[cols["u2"]])])})
-            svg = plot_ellipses(steps)
+            rows = _read_csv(out_dir / "gains.csv", ("agent", "k", *_GAINS))
+            # the lowest-numbered agent of the whole file, then the window
+            first = min((int(r["agent"]) for r in rows), default=0)
+            rows = [r for r in rows if int(r["agent"]) == first]
+            svg = plot_ellipses([
+                {"k": int(k), "u": np.array([u1, u2]),
+                 "gains": GainTerms(D1=np.array([[d1_11, d1_12], [d1_12, d1_22]]),
+                                    D2=np.array([d2_1, d2_2]), D3=d3)}
+                for k, d1_11, d1_12, d1_22, d2_1, d2_2, d3, u1, u2
+                in _window(rows, lo, hi, "k", *_GAINS)[first].tolist()])
         out_path = out_dir / f"{args.kind}.svg"
         out_path.write_text(svg, encoding="utf-8")
     except (DpcoverError, ValueError, OSError) as exc:

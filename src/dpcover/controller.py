@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import LtiSystem
-from .errors import InputError, check_count
+from .errors import InputError, check_count, check_finite
 from .linalg import InputPolytope, pseudo_inverse, solve_psd_qp
 
 
@@ -96,10 +96,10 @@ class GainTerms:
 
 def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
     """Quadratic coefficients of the predicted squared-distance change."""
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-    x = np.asarray(x, dtype=float).reshape(sys.n)
-    q_bar = np.asarray(q_bar, dtype=float).reshape(sys.p)
+    if not 0 < alpha < np.inf:
+        raise InputError("alpha must be positive and finite")
+    x = check_finite(x, sys.n, "x")
+    q_bar = check_finite(q_bar, sys.p, "q_bar")
     A_p, C, G = sys.A_p, sys.C, sys.G
     D1 = alpha * G.T @ G
     D2 = alpha * ((x @ A_p.T @ C.T) - q_bar) @ G
@@ -111,7 +111,7 @@ def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
 
 def delta_w(gt: GainTerms, u) -> float:
     """Predicted change in squared local Wasserstein distance at input u."""
-    u = np.asarray(u, dtype=float).reshape(gt.D2.size)
+    u = check_finite(u, gt.D2.size, "u")
     return float(u @ gt.D1 @ u + 2.0 * gt.D2 @ u + gt.D3)
 
 
@@ -132,8 +132,7 @@ def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:
     nonempty iff gt.range_rhs is nonnegative. Boundary points count
     as outside (the predicted change there is zero, not a decrease).
     """
-    u = np.asarray(u, dtype=float).reshape(gt.D2.size)
-    v = u - gt.u_star
+    v = check_finite(u, gt.D2.size, "u") - gt.u_star
     lhs = float(v @ gt.D1 @ v)
     return (gt.range_rhs >= 0.0 and lhs < gt.range_rhs), gt.range_rhs >= 0.0
 

@@ -7,6 +7,7 @@ mass: the total of the elementwise minimum over every agent's view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,15 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
         raise InputError("one position per weight vector required")
     if any(np.shape(w) != np.shape(weight_vectors[0]) for w in weight_vectors):
         raise InputError("weight vectors must have equal length")
+    if cfg.d_comm is not None and (
+            any(np.shape(p) != np.shape(positions[0]) for p in positions)
+            or not np.all(np.isfinite(positions))):
+        raise InputError("positions must be finite and of one shape")
+    # the elementwise minimum over all vectors is the same before and after
+    # the merges; a non-finite one is caught before any vector changes
+    unclaimed = float(np.minimum.reduce(weight_vectors).sum())
+    if not math.isfinite(unclaimed):
+        raise InputError("weight vectors hold non-finite values")
     count = 0
     n = len(weight_vectors)
     for r in range(n):
@@ -51,4 +61,4 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
             np.minimum(weight_vectors[r], weight_vectors[s], out=weight_vectors[r])
             weight_vectors[s][:] = weight_vectors[r]
             count += 1
-    return count, float(np.minimum.reduce(weight_vectors).sum())
+    return count, unclaimed

@@ -120,13 +120,23 @@ def sample_mixture(spec: MixtureSpec) -> SampleCloud:
     return SampleCloud(points, weights)
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def load_points(path) -> SampleCloud:
     """Read a cloud from CSV rows "x,y" or "x,y,weight" (optional header).
 
+    Only the first non-blank row may be a header, and only when none of its
+    cells is a number; any other non-numeric row is an InputError.
     Missing weights default to uniform; weights are normalized to sum 1.
     Trailing empty cells are ignored; any other empty cell is an InputError.
     """
     rows = []
+    first = True
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for raw in reader:
@@ -137,12 +147,13 @@ def load_points(path) -> SampleCloud:
                 continue
             if "" in cells:  # an empty cell would shift the columns after it
                 raise InputError(f"empty cell in row {raw!r} of {path}")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                if rows:
-                    raise InputError(f"non-numeric row {raw!r} in {path}")
-                continue  # header line
+            values = [_number(c) for c in cells]
+            header = first and all(v is None for v in values)
+            first = False
+            if header:
+                continue
+            if None in values:
+                raise InputError(f"non-numeric row {raw!r} in {path}")
             if len(values) not in (2, 3):
                 raise InputError(f"row {raw!r} must have 2 or 3 columns")
             rows.append(values)

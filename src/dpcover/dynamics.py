@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_finite
 from .linalg import InputPolytope
 
 GRAVITY = 9.81  # m/s^2
@@ -50,7 +50,7 @@ class LtiSystem:
     relative degree P, A_p = A^P and the P-step input gain G = C A^(P-1) B.
 
     state_bounds: (n, 2) per-component [lo, hi] on x, or None.
-    input_bounds: polytope on u, or None.
+    input_bounds: polytope on u with one column per input, or None.
     """
 
     A: np.ndarray
@@ -82,6 +82,11 @@ class LtiSystem:
             s = np.linalg.svd(M, compute_uv=False)
             if int(np.sum(s > 1e-10 * s[0])) != want:
                 raise InputError(f"{name} must have full rank {want}")
+        bounds = self.input_bounds
+        if bounds is not None and not (isinstance(bounds, InputPolytope)
+                                       and bounds.Cu.shape[1] == B.shape[1]):
+            raise InputError(f"input_bounds must be None or an InputPolytope with "
+                             f"{B.shape[1]} columns, one per input")
         fields = {"A": A, "B": B, "C": C}
         if self.state_bounds is not None:
             sb = np.array(self.state_bounds, dtype=float)
@@ -120,8 +125,7 @@ def step_events(sys: LtiSystem, x, u) -> tuple[np.ndarray, bool]:
     u = np.asarray(u, dtype=float)
     if x.shape != (sys.n,) or u.shape != (sys.m,):
         raise InputError("state/input dimension mismatch")
-    if not np.all(np.isfinite(u)):
-        raise InputError("input contains non-finite entries")
+    x, u = check_finite(x, sys.n, "state"), check_finite(u, sys.m, "input")
     nxt = sys.A @ x + sys.B @ u
     if sys.state_bounds is None:
         return nxt, False
@@ -134,7 +138,7 @@ def output(sys: LtiSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise InputError("state dimension mismatch")
-    return sys.C @ x
+    return sys.C @ check_finite(x, sys.n, "state")
 
 
 def make_preset(name: str, dt: float, params: dict | None = None) -> LtiSystem:

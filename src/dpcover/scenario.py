@@ -16,7 +16,7 @@ from .distribution import MixtureSpec, SampleCloud, load_points, sample_mixture
 from .dynamics import LtiSystem, make_preset
 from .engine import Scenario
 from .errors import InfeasibleError, InputError, ScenarioError, check_count
-from .linalg import TRANSPORT_SIZE_CAP, InputPolytope
+from .linalg import InputPolytope
 
 SCHEMA_VERSION = 1
 
@@ -174,11 +174,11 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     constraints = _build_constraints(doc.get("input_constraints"), systems,
                                      "input_constraints")
 
+    # engine.Scenario owns the defaults of the keys a document leaves out
+    cadence = {k: doc[k] for k in ("global_w_interval", "global_w_cap") if k in doc}
     try:
         return Scenario(systems=systems, initial_states=states, budgets=budgets,
-                        cloud=cloud, comm=comm, input_constraints=constraints,
-                        global_w_interval=doc.get("global_w_interval", 50),
-                        global_w_cap=doc.get("global_w_cap", TRANSPORT_SIZE_CAP))
+                        cloud=cloud, comm=comm, input_constraints=constraints, **cadence)
     except Exception as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -26,9 +26,13 @@ def _f(v: float) -> str:
 
 
 class _Frame:
-    """Affine map from data coordinates to the SVG viewport (y up)."""
+    """Affine map from the padded extent of (n, 2) points to the viewport (y up)."""
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi):
+    def __init__(self, points):
+        points = np.asarray(points, dtype=float)
+        if points.size == 0:
+            raise InputError("nothing to plot")
+        (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0), points.max(axis=0)
         if not (np.isfinite([x_lo, x_hi, y_lo, y_hi]).all()):
             raise InputError("non-finite plot extent")
         pad_x = (x_hi - x_lo) * 0.05 or 1.0
@@ -82,23 +86,13 @@ def _polyline(frame: _Frame, xs, ys, color: str, width: float = 1.2,
             f'stroke-width="{_f(width)}"{dash_attr}/>')
 
 
-def _series_frame(xss, yss) -> _Frame:
-    all_x = np.concatenate([np.asarray(x, dtype=float) for x in xss])
-    all_y = np.concatenate([np.asarray(y, dtype=float) for y in yss])
-    if all_x.size == 0:
-        raise InputError("nothing to plot")
-    return _Frame(all_x.min(), all_x.max(), all_y.min(), all_y.max())
-
-
 def plot_trajectories(trajectories: dict[int, np.ndarray],
                       reference: np.ndarray) -> str:
     """Agent polylines over the reference point cloud. Start points marked
     with a cross, terminal points with a filled circle."""
     if not trajectories or all(t.shape[0] == 0 for t in trajectories.values()):
         raise InputError("empty trajectory")
-    xs = np.concatenate([t[:, 0] for t in trajectories.values()] + [reference[:, 0]])
-    ys = np.concatenate([t[:, 1] for t in trajectories.values()] + [reference[:, 1]])
-    frame = _Frame(xs.min(), xs.max(), ys.min(), ys.max())
+    frame = _Frame(np.vstack([*trajectories.values(), reference]))
     els = _axes(frame, "x (m)", "y (m)")
     for cx, cy in zip(frame.x(reference[:, 0]).tolist(),
                       frame.y(reference[:, 1]).tolist()):
@@ -122,10 +116,7 @@ def plot_trajectories(trajectories: dict[int, np.ndarray],
 def plot_series(series: dict[int, tuple[np.ndarray, np.ndarray]],
                 title: str, y_label: str) -> str:
     """One line per series key (an agent, or 0) of a scalar vs step index."""
-    if not series:
-        raise InputError("nothing to plot")
-    frame = _series_frame([s[0] for s in series.values()],
-                          [s[1] for s in series.values()])
+    frame = _Frame(np.vstack([np.empty((0, 2)), *map(np.column_stack, series.values())]))
     els = _axes(frame, "step k", y_label)
     for idx, key in enumerate(sorted(series)):
         ks, vs = series[key]
@@ -140,8 +131,6 @@ def plot_ellipses(steps: list[dict]) -> str:
 
     Each entry needs keys k, gains (GainTerms), u.
     """
-    if not steps:
-        raise InputError("empty window")
     boundaries = []
     for entry in steps:
         gt: GainTerms = entry["gains"]
@@ -149,9 +138,7 @@ def plot_ellipses(steps: list[dict]) -> str:
             boundaries.append(convergence_ellipse(gt, 128))
     u_trace = np.array([e["u"] for e in steps])
     uu_trace = np.array([e["gains"].u_star for e in steps])
-    all_pts = np.vstack(boundaries + [u_trace, uu_trace])
-    frame = _Frame(all_pts[:, 0].min(), all_pts[:, 0].max(),
-                   all_pts[:, 1].min(), all_pts[:, 1].max())
+    frame = _Frame(np.vstack(boundaries + [u_trace, uu_trace]))
     els = _axes(frame, "u1", "u2")
     for boundary in boundaries:
         closed = np.vstack([boundary, boundary[:1]])

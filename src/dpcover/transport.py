@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustionError, InputError, check_count
+from .errors import ExhaustionError, InputError, check_count, check_finite
 from .linalg import TRANSPORT_SIZE_CAP, TransportProblem, solve_transport_exact
 
 
@@ -86,11 +86,16 @@ def _fill_nearest(weights, keys, demand: float):
     return order[:n_take], taken, exhausted
 
 
-def _finite_centre(c, name: str) -> np.ndarray:
-    c = np.asarray(c, dtype=float).reshape(2)
-    if not (math.isfinite(c[0]) and math.isfinite(c[1])):  # ~10x np.isfinite(c).all()
-        raise InputError(f"{name} must be finite, got {c}")
-    return c
+def _as_cloud(positions, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 2) positions and their (N,) weights as float arrays, else InputError.
+    Only the shapes are checked: a finiteness check would cost a pass over
+    the cloud on every call, and SampleCloud already requires finite values."""
+    positions = np.asarray(positions, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2 or weights.shape != positions.shape[:1]:
+        raise InputError(f"positions must be (N, 2) and weights (N,), got "
+                         f"{positions.shape} and {weights.shape}")
+    return positions, weights
 
 
 def _squared_distances(points, center):
@@ -107,11 +112,10 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     in ascending d_j (ties broken by ascending index), the last one
     partially, until the claimed mass reaches alpha or the weights run out.
     """
-    weights = np.asarray(weights, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if not alpha > 0:
-        raise InputError("alpha must be positive")
-    prev_center = _finite_centre(prev_center, "prev_center")
+    positions, weights = _as_cloud(positions, weights)
+    if not 0 < alpha < math.inf:
+        raise InputError("alpha must be positive and finite")
+    prev_center = check_finite(prev_center, 2, "prev_center")
     with np.errstate(divide="ignore", invalid="ignore"):
         keys = np.sqrt(_squared_distances(positions, prev_center)) / weights
     # every take is > 0: a whole take is a live weight, and the fill stops at
@@ -133,11 +137,10 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     take that would leave less than WEIGHT_SNAP takes the weight whole.
     ExhaustionError if alpha_next exceeds the live mass by over 1e-12.
     """
-    positions = np.asarray(positions, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if not alpha_next >= 0:
-        raise InputError("alpha_next must be nonnegative")
-    agent_pos = _finite_centre(agent_pos, "agent_pos")
+    positions, weights = _as_cloud(positions, weights)
+    if not 0 <= alpha_next < math.inf:
+        raise InputError("alpha_next must be nonnegative and finite")
+    agent_pos = check_finite(agent_pos, 2, "agent_pos")
     if alpha_next == 0:
         return TransportPlan(np.empty(0, dtype=np.intp), np.empty(0))
     idx, fill, exhausted = _fill_nearest(weights, _squared_distances(positions, agent_pos),
@@ -153,7 +156,7 @@ def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
     """sqrt(sum of claimed mass times squared distance to the agent)."""
     if selection.taken.size == 0:
         raise InputError("empty selection")
-    agent_pos = _finite_centre(agent_pos, "agent_pos")
+    agent_pos = check_finite(agent_pos, 2, "agent_pos")
     return float(np.sqrt(selection.taken @ _squared_distances(selection.points, agent_pos)))
 
 
@@ -182,17 +185,21 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
     Both clouds are renormalized to unit mass. Clouds with more than cap
     positive-mass points are first reduced to cap equal-weight points on
     the fixed comb of _systematic_subsample; the returned flag reports
-    whether any subsampling happened. cap must be an integer >= 1.
+    whether any subsampling happened. cap must be an integer >= 1; each
+    cloud needs finite (N, 2) points and N nonnegative weights of positive,
+    finite sum.
     """
     check_count(cap, "cap", 1)
-    points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
-    points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
-    weights_a = np.asarray(weights_a, dtype=float)
-    weights_b = np.asarray(weights_b, dtype=float)
+    points_a, weights_a = _as_cloud(points_a, weights_a)
+    points_b, weights_b = _as_cloud(points_b, weights_b)
     if points_a.shape[0] == 0 or points_b.shape[0] == 0:
         raise InputError("clouds must be nonempty")
-    if weights_a.sum() <= 0 or weights_b.sum() <= 0:
-        raise InputError("clouds must carry positive mass")
+    if not (np.all(np.isfinite(points_a)) and np.all(np.isfinite(points_b))):
+        raise InputError("cloud points must be finite")
+    if np.any(weights_a < 0) or np.any(weights_b < 0):
+        raise InputError("cloud weights must be nonnegative")
+    if not (0 < weights_a.sum() < math.inf and 0 < weights_b.sum() < math.inf):
+        raise InputError("clouds must carry positive, finite mass")
     wa = weights_a / weights_a.sum()
     wb = weights_b / weights_b.sum()
     # drop zero-mass points before sizing against the cap

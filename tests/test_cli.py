@@ -386,12 +386,62 @@ def test_plot_missing_csvs_fails(tmp_path):
     assert not (tmp_path / "nope" / "deltaw.svg").exists()
 
 
-def test_plot_empty_window_fails(scenario_file, tmp_path):
+def test_plot_empty_window_fails(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("run", "--scenario", scenario_file, "--out", out)
-    assert run_cli("plot", "--out", out, "--kind", "deltaw",
-                   "--window", 100, 200) != 0
-    assert not (out / "deltaw.svg").exists()
+    for kind in cli.PLOT_KINDS:  # each kind with the same message
+        capsys.readouterr()
+        assert run_cli("plot", "--out", out, "--kind", kind,
+                       "--window", 100, 200) == 1
+        assert capsys.readouterr().err == "error: empty window\n"
+        assert not (out / f"{kind}.svg").exists()
+
+
+@pytest.mark.parametrize("kind", cli.PLOT_KINDS)
+def test_plot_reads_columns_by_name(kind, scenario_file, tmp_path):
+    """Every run CSV written back with its columns reversed gives the same
+    SVG bytes."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    assert run_cli("plot", "--out", out, "--kind", kind, "--window", 2, 8) == 0
+    want = (out / f"{kind}.svg").read_bytes()
+    for path in out.glob("*.csv"):
+        header, rows = read_csv(path)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([row[::-1] for row in [header, *rows]])
+    assert run_cli("plot", "--out", out, "--kind", kind, "--window", 2, 8) == 0
+    assert (out / f"{kind}.svg").read_bytes() == want
+
+
+def test_plot_names_a_missing_column(scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    header, rows = read_csv(out / "global_w.csv")
+    header[header.index("w2")] = "w"
+    with open(out / "global_w.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", "globalw") == 1
+    assert f"{out / 'global_w.csv'}: no column w2" in capsys.readouterr().err
+
+
+def test_ellipse_plot_draws_the_lowest_agent_of_the_whole_file(scenario_file, tmp_path,
+                                                               capsys):
+    """Agent 0 is chosen before the window: a window past its last step is
+    empty, though agent 1 has steps there."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    header, rows = read_csv(out / "gains.csv")
+    agent, k = header.index("agent"), header.index("k")
+    rows = [r for r in rows if r[agent] == "1" or int(r[k]) <= 4]
+    with open(out / "gains.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", "ellipses", "--window", 6, 8) == 1
+    assert capsys.readouterr().err == "error: empty window\n"
+    assert not (out / "ellipses.svg").exists()
+    assert run_cli("plot", "--out", out, "--kind", "ellipses", "--window", 3, 8) == 0
+    assert "steps 3 to 4" in (out / "ellipses.svg").read_text()
 
 
 # -------------------------------------------------------------------- validate

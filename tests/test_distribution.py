@@ -142,6 +142,16 @@ def test_load_points_accepts_trailing_empty_cells_and_blank_lines(tmp_path):
     assert np.array_equal(cloud.positions, [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("text", ["1.0,abc\n2,2\n3,3\n", "x,y\nx,y\n2,2\n3,3\n",
+                                  "x,1\n2,2\n3,3\n"],
+                         ids=["typo-in-first-row", "second-header", "header-with-a-number"])
+def test_load_points_takes_only_an_all_text_first_row_as_header(tmp_path, text):
+    f = tmp_path / "pts.csv"
+    f.write_text(text)
+    with pytest.raises(InputError, match="non-numeric row"):
+        load_points(f)
+
+
 # ------------------------------------------------------------------------ mass
 
 def test_agent_alpha_table_values():

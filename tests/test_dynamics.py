@@ -6,6 +6,7 @@ import pytest
 from dpcover.dynamics import (LtiSystem, make_preset, output, relative_degree,
                               step_events)
 from dpcover.errors import InputError
+from dpcover.linalg import InputPolytope
 
 from conftest import integrator_chain
 
@@ -200,6 +201,15 @@ def test_rank_deficient_b_rejected():
     with pytest.raises(InputError):
         LtiSystem(A=A, B=B, C=np.eye(2), dt=0.1)
 
+
+@pytest.mark.parametrize("bounds", [InputPolytope.box(1.0, 3), "box"],
+                         ids=["three-columns", "string"])
+def test_input_bounds_must_be_a_polytope_with_one_column_per_input(bounds):
+    with pytest.raises(InputError, match="input_bounds"):
+        LtiSystem(A=np.eye(2), B=np.eye(2), C=np.eye(2), dt=0.1, input_bounds=bounds)
+    fits = LtiSystem(A=np.eye(2), B=np.eye(2), C=np.eye(2), dt=0.1,
+                     input_bounds=InputPolytope.box(1.0, 2))
+    assert fits.input_bounds.Cu.shape == (4, 2)
 
 def test_integrator_chain_relative_degrees(rng):
     for depth in (1, 2, 3, 4):

@@ -6,13 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpcover import controller, linalg
+from dpcover import controller, coordination, dynamics, linalg, transport
 from dpcover.coordination import CommConfig
 from dpcover.distribution import SampleCloud
 from dpcover.dynamics import make_preset
 from dpcover.engine import Scenario, run
-from dpcover.errors import InputError
+from dpcover.errors import DpcoverError, InputError
 from dpcover.linalg import TRANSPORT_SIZE_CAP, InputPolytope
 from dpcover.scenario import build_scenario
 
@@ -282,3 +284,108 @@ def test_scenario_cap_within_solver_limit(cap):
     with pytest.raises(InputError, match="global_w_cap"):
         first_order_scenario(global_w_cap=cap)
     assert first_order_scenario().global_w_cap == TRANSPORT_SIZE_CAP
+
+
+# ----------------------------------------------------------- malformed input
+
+VALUE_KINDS = ("nan", "inf", "-inf")
+SHAPE_KINDS = ("empty", "short", "long")
+
+
+def _malformable_calls():
+    """Each public function the step loop calls, with valid arguments and
+    the malformations each argument may take (none for the system, gain
+    terms and config). Cloud positions and weights given to
+    select_local_samples and weight_update take only shape malformations:
+    SampleCloud rejects non-finite ones, and a check there would cost a
+    pass over the cloud on every call."""
+    sys = make_preset("first_order", 0.1)
+    gt = controller.GainTerms(D1=np.eye(2), D2=np.array([0.5, -0.5]), D3=-1.0)
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    w = np.full(3, 1.0 / 3.0)
+    any_kind = VALUE_KINDS + SHAPE_KINDS
+    return {
+        "select_local_samples": (transport.select_local_samples, [
+            (w, SHAPE_KINDS), (pos, SHAPE_KINDS), (np.zeros(2), any_kind),
+            (0.2, VALUE_KINDS)]),
+        "weight_update": (transport.weight_update, [
+            (pos, SHAPE_KINDS), (w, SHAPE_KINDS), (np.zeros(2), any_kind),
+            (0.2, VALUE_KINDS)]),
+        "global_wasserstein": (transport.global_wasserstein, [
+            (pos, any_kind), (w, any_kind), (pos + 1.0, any_kind), (w, any_kind)]),
+        "gain_terms": (controller.gain_terms, [
+            (sys, ()), (np.ones(2), any_kind), (np.zeros(2), any_kind),
+            (0.2, VALUE_KINDS)]),
+        "delta_w": (controller.delta_w, [(gt, ()), (np.ones(2), any_kind)]),
+        "convergence_check": (controller.convergence_check,
+                              [(gt, ()), (np.ones(2), any_kind)]),
+        "step_events": (dynamics.step_events, [
+            (sys, ()), (np.ones(2), any_kind), (np.ones(2), any_kind)]),
+        "output": (dynamics.output, [(sys, ()), (np.ones(2), any_kind)]),
+        "sync_round": (coordination.sync_round, [
+            ([w.copy(), w.copy()], any_kind), ([np.zeros(2), np.ones(2)], any_kind),
+            (CommConfig(d_comm=5.0), ())]),
+    }
+
+
+def _malformed(value, kind: str, at: int):
+    if kind in VALUE_KINDS:
+        if np.ndim(value) == 0:
+            return float(kind)
+        value = np.array(value, dtype=float)
+        value.flat[at % value.size] = float(kind)
+        return value
+    value = np.asarray(value)
+    return {"empty": value[:0], "short": value[:-1],
+            "long": np.concatenate([value, value[-1:]])}[kind]
+
+
+def _all_finite(result) -> bool:
+    if isinstance(result, tuple):
+        return all(_all_finite(r) for r in result)
+    if dataclasses.is_dataclass(result):
+        return all(_all_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    return bool(np.all(np.isfinite(np.asarray(result, dtype=float))))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_public_functions_reject_malformed_input_or_return_finite_values(data):
+    """Given a NaN, an infinity, an empty array or one of the wrong length,
+    each function either raises a DpcoverError or returns finite values
+    (a raw RuntimeWarning fails the test too: the suite makes it an error)."""
+    calls = _malformable_calls()
+    fn, args = calls[data.draw(st.sampled_from(sorted(calls)))]
+    slot = data.draw(st.sampled_from([i for i, (_, kinds) in enumerate(args) if kinds]))
+    value, kinds = args[slot]
+    kind = data.draw(st.sampled_from(kinds))
+    at = data.draw(st.integers(min_value=0, max_value=5))
+    if isinstance(value, list):  # one agent's vector or position
+        value = list(value)
+        value[at % len(value)] = _malformed(value[at % len(value)], kind, at)
+    else:
+        value = _malformed(value, kind, at)
+    call = [v for v, _ in args]
+    call[slot] = value
+    try:
+        result = fn(*call)
+    except DpcoverError:
+        return
+    assert _all_finite(result), (fn.__name__, slot, kind, result)
+
+
+@pytest.mark.parametrize("call", [
+    # a negative weight would be dropped with the zero-mass points
+    lambda: transport.global_wasserstein(np.zeros((2, 2)), [1.0, -0.5],
+                                         np.ones((1, 2)), [1.0]),
+    # an infinite mass would claim the whole cloud as exhausted
+    lambda: transport.select_local_samples(np.full(2, 0.5), np.eye(2), np.zeros(2),
+                                           np.inf),
+    # a NaN position is at no distance, so no pair with it is in range
+    lambda: coordination.sync_round([np.full(2, 0.5), np.full(2, 0.5)],
+                                    [np.zeros(2), np.array([np.nan, 0.0])],
+                                    CommConfig(d_comm=5.0)),
+], ids=["negative-weight", "infinite-alpha", "nan-position"])
+def test_malformed_input_with_a_finite_answer_is_still_rejected(call):
+    with pytest.raises(InputError):
+        call()

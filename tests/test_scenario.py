@@ -186,6 +186,13 @@ def test_reference_file_with_an_empty_cell_is_a_scenario_error(tmp_path):
         load_scenario(path)
 
 
+def test_reference_file_with_a_non_numeric_first_row_is_a_scenario_error(tmp_path):
+    (tmp_path / "pts.csv").write_text("1.0,abc\n2,2\n3,3\n")
+    doc = first_order_doc()
+    doc["reference"] = {"file": "pts.csv"}
+    with pytest.raises(ScenarioError, match="non-numeric row"):
+        build_scenario(doc, base_dir=tmp_path)
+
 def test_mixture_seed_defaults_to_scenario_seed():
     a = build_scenario(first_order_doc(seed=11))
     b = build_scenario(first_order_doc(seed=12))
