@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ from . import __version__
 from .controller import GainTerms
 from .engine import RunResult, Scenario, run as engine_run
 from .errors import DpcoverError, InputError, ScenarioError
-from .scenario import build_scenario, load_scenario
+from .scenario import build_scenario, load_scenario, read_document
 from .svgplot import plot_ellipses, plot_series, plot_trajectories
 
 PLOT_KINDS = ("trajectories", "deltaw", "ellipses", "globalw")
@@ -115,7 +114,7 @@ def _override_seed(doc: dict, seed: int) -> None:
 def cmd_run(args) -> int:
     try:
         path = Path(args.scenario)
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_document(path)
         if isinstance(doc, dict):  # else build_scenario rejects the document
             if args.seed is not None:
                 _override_seed(doc, args.seed)
@@ -138,7 +137,8 @@ def cmd_run(args) -> int:
 
 
 def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """The rows of a run CSV as {column: cell} maps; the header must name `columns`."""
+    """The rows of a run CSV as {column: cell} maps; the header must name
+    `columns`, and at least one data row must follow it."""
     if not path.exists():
         raise InputError(f"missing {path}; run the scenario first")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -154,6 +154,8 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
                 raise InputError(f"{path} line {reader.line_num}: {len(row)} cells, "
                                  f"the header has {len(header)}")
             rows.append(dict(zip(header, row)))
+    if not rows:
+        raise InputError(f"{path}: no data rows")
     return rows
 
 
@@ -200,7 +202,7 @@ def cmd_plot(args) -> int:
                 raise InputError("no gains.csv: it is written only for 2-input runs")
             rows = _read_csv(out_dir / "gains.csv", ("agent", "k", *_GAINS))
             # the lowest-numbered agent of the whole file, then the window
-            first = min((int(r["agent"]) for r in rows), default=0)
+            first = min(int(r["agent"]) for r in rows)
             rows = [r for r in rows if int(r["agent"]) == first]
             svg = plot_ellipses([
                 {"k": int(k), "u": np.array([u1, u2]),
@@ -224,13 +226,10 @@ def cmd_validate(args) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     for i, sys_ in enumerate(scenario.systems):
+        rows = 0 if sys_.input_bounds is None else sys_.input_bounds.Cu.shape[0]
         print(f"agent {i}: n={sys_.n} m={sys_.m} p={sys_.p} P={sys_.P} "
-              f"M={scenario.budgets[i]}")
+              f"M={scenario.budgets[i]} input_rows={rows}")
     print(f"reference cloud: {scenario.cloud.n_points} points")
-    if scenario.input_constraints is not None:
-        print(f"input constraints: {scenario.input_constraints.Cu.shape[0]} rows, feasible")
-    else:
-        print("input constraints: per-system bounds or unconstrained")
     print("scenario is valid")
     return 0
 

@@ -29,14 +29,15 @@ REMAINING_MASS_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed for one deterministic run."""
+    """Everything needed for one deterministic run. An agent's input set is
+    its system's `input_bounds` (None: unconstrained). Construction is the
+    one check of each agent's initial_state length and budget M."""
 
     systems: list[LtiSystem]          # one per agent
     initial_states: list[np.ndarray]  # (n_r,) each
     budgets: list[int]                # steps per agent
     cloud: SampleCloud
     comm: CommConfig = CommConfig()
-    input_constraints: linalg.InputPolytope | None = None  # else each system's bounds
     global_w_interval: int = 50
     global_w_cap: int = linalg.TRANSPORT_SIZE_CAP
 
@@ -45,20 +46,19 @@ class Scenario:
             raise InputError("systems, initial_states, budgets must align")
         if not self.systems:
             raise InputError("need at least one agent")
-        for m in self.budgets:
-            check_count(m, "budget", 1)
         check_count(self.global_w_interval, "global_w_interval", 1)
         check_count(self.global_w_cap, "global_w_cap", 1)
         if self.global_w_cap > linalg.TRANSPORT_SIZE_CAP:
             raise InputError(f"global_w_cap must be in 1..{linalg.TRANSPORT_SIZE_CAP}")
-        polytope = self.input_constraints
-        for sys, x0 in zip(self.systems, self.initial_states):
-            if np.asarray(x0, dtype=float).shape != (sys.n,):
-                raise InputError("initial state dimension mismatch")
+        for i, (sys, x0, m) in enumerate(zip(self.systems, self.initial_states,
+                                             self.budgets)):
+            check_count(m, f"agents[{i}]: M", 1)
+            shape = np.shape(x0)
+            if shape != (sys.n,):
+                raise InputError(f"agents[{i}]: initial_state has shape {shape}, "
+                                 f"its system needs ({sys.n},)")
             if sys.p != 2:
-                raise InputError("outputs must be planar (p = 2)")
-            if polytope is not None and polytope.Cu.shape[1] != sys.m:
-                raise InputError("input_constraints: Cu needs one column per system input")
+                raise InputError(f"agents[{i}]: outputs must be planar (p = 2)")
 
 
 @dataclass
@@ -93,11 +93,9 @@ class RunResult:
 
 class _AgentCtx:
     def __init__(self, idx: int, sys: LtiSystem, x0, budget: int,
-                 weights: np.ndarray, alpha: float, cloud_positions: np.ndarray,
-                 constraints: linalg.InputPolytope | None):
+                 weights: np.ndarray, alpha: float, cloud_positions: np.ndarray):
         self.idx = idx
         self.sys = sys
-        self.constraints = constraints
         self.cloud_positions = cloud_positions
         self.x = np.asarray(x0, dtype=float).copy()
         self.budget = budget
@@ -126,9 +124,10 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
     selection = transport.select_local_samples(ctx.weights, positions, ctx.q_bar, ctx.alpha)
     alpha_used = selection.total_mass
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
-    if ctx.constraints is not None:
-        u = controller.optimal_input_constrained(gt, ctx.constraints)
-        slack = ctx.constraints.Du - ctx.constraints.Cu @ u
+    bounds = ctx.sys.input_bounds
+    if bounds is not None:
+        u = controller.optimal_input_constrained(gt, bounds)
+        slack = bounds.Du - bounds.Cu @ u
         constraint_active = bool(np.any(slack <= 1e-9))
     else:
         u = controller.optimal_input_unconstrained(gt)
@@ -183,18 +182,14 @@ def run(scenario: Scenario) -> RunResult:
     # and y columns contiguous, which every agent-step's whole-cloud
     # distance pass reads (the same bits as the (N, 2) C-ordered rows)
     positions = np.asfortranarray(cloud.positions)
-    agents = []
-    for i, (sys, x0, m) in enumerate(zip(scenario.systems, scenario.initial_states,
-                                         scenario.budgets)):
-        cons = (scenario.input_constraints if scenario.input_constraints is not None
-                else sys.input_bounds)
-        agents.append(_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha,
-                                positions, cons))
+    agents = [_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha, positions)
+              for i, (sys, x0, m) in enumerate(zip(scenario.systems,
+                                                   scenario.initial_states,
+                                                   scenario.budgets))]
 
     records: list[StepRecord] = []
     global_w: list[tuple[int, float, bool]] = []
-    max_k = max(scenario.budgets)
-    for k in range(1, max_k + 1):
+    for k in range(1, max(scenario.budgets) + 1):
         live = [a for a in agents if a.active]  # nonempty: `done` ends the loop first
         step_records = [_agent_step(a, k) for a in live]
 
@@ -209,7 +204,7 @@ def run(scenario: Scenario) -> RunResult:
         records.extend(step_records)
 
         done = unclaimed <= REMAINING_MASS_EPS or not any(a.active for a in agents)
-        if k % scenario.global_w_interval == 0 or done or k == max_k:
+        if k % scenario.global_w_interval == 0 or done:
             pts = np.vstack([p for a in agents for p in a.outputs])
             masses = np.concatenate([np.asarray(a.masses) for a in agents])
             w2, sub = transport.global_wasserstein(

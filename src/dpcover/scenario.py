@@ -7,6 +7,7 @@ and reference. See the scenarios/ directory for examples.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +31,6 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
     missing = required - set(obj)
     if missing:
         raise ScenarioError(f"missing required keys {sorted(missing)} in {where}")
-
-
-def _integer(value, where: str, minimum: int) -> int:
-    """value if it is a JSON integer >= minimum (booleans are not integers)."""
-    try:
-        return check_count(value, where, minimum)
-    except InputError as exc:
-        raise ScenarioError(str(exc)) from None
 
 
 def _real(value, where: str, ndim: int | None = 0):
@@ -110,26 +103,33 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
         raise ScenarioError(f"reference.mixture: {exc}") from exc
 
 
-def _build_constraints(spec, systems: list[LtiSystem], where: str) -> InputPolytope | None:
+def _with_input_set(spec, systems: list[LtiSystem], where: str) -> list[LtiSystem]:
+    """The systems with the document's input set as their input_bounds,
+    which replaces a preset's tau_max box; unchanged when spec is None."""
     if spec is None:
-        return None
+        return systems
     _check_keys(spec, {"u_max", "Cu", "Du"}, set(), where)
     if "u_max" in spec:
         if "Cu" in spec or "Du" in spec:
             raise ScenarioError(f"{where}: give either u_max or Cu/Du, not both")
         u_max = _real(spec["u_max"], f"{where}.u_max")
-        m_in = {s.m for s in systems}
-        if not u_max > 0 or len(m_in) != 1:
-            raise ScenarioError(f"{where}: u_max must be positive, and the box "
-                                "needs one input size for all agents")
-        return InputPolytope.box(u_max, m_in.pop())
+        if not u_max > 0:
+            raise ScenarioError(f"{where}: u_max must be positive")
+        return [replace(s, input_bounds=InputPolytope.box(u_max, s.m)) for s in systems]
     if "Cu" not in spec or "Du" not in spec:
         raise ScenarioError(f"{where}: Cu and Du must be given together")
-    try:
-        return InputPolytope(_real(spec["Cu"], f"{where}.Cu", 2),
-                             _real(spec["Du"], f"{where}.Du", 1))
+    try:  # one polytope, and one Chebyshev LP, shared by every agent
+        polytope = InputPolytope(_real(spec["Cu"], f"{where}.Cu", 2),
+                                 _real(spec["Du"], f"{where}.Du", 1))
     except (InfeasibleError, InputError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+    with_set = []
+    for i, s in enumerate(systems):
+        try:  # LtiSystem checks that Cu has one column per input
+            with_set.append(replace(s, input_bounds=polytope))
+        except InputError as exc:
+            raise ScenarioError(f"{where}.Cu does not fit agents[{i}]: {exc}") from exc
+    return with_set
 
 
 def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
@@ -139,7 +139,10 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
                 {"version", "agents", "reference"}, "scenario")
     if isinstance(doc["version"], bool) or doc["version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {doc['version']!r}")
-    seed = _integer(doc.get("seed", 0), "seed", 0)
+    try:
+        seed = check_count(doc.get("seed", 0), "seed", 0)
+    except InputError as exc:
+        raise ScenarioError(str(exc)) from None
 
     default_system = doc.get("system")
     systems, states, budgets = [], [], []
@@ -152,14 +155,9 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
         sys_spec = agent.get("system", default_system)
         if sys_spec is None:
             raise ScenarioError(f"{where}: no system given and no scenario default")
-        sys = _build_system(sys_spec, f"{where}.system")
-        x0 = _real(agent["initial_state"], f"{where}.initial_state", 1)
-        if x0.shape != (sys.n,):
-            raise ScenarioError(
-                f"{where}: initial_state has length {x0.size}, system needs {sys.n}")
-        systems.append(sys)
-        states.append(x0)
-        budgets.append(_integer(agent["M"], f"{where}: M", 1))
+        systems.append(_build_system(sys_spec, f"{where}.system"))
+        states.append(_real(agent["initial_state"], f"{where}.initial_state", 1))
+        budgets.append(agent["M"])  # engine.Scenario checks it with the state length
 
     cloud = _build_reference(doc["reference"], base_dir, seed)
 
@@ -171,22 +169,25 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     except InputError as exc:
         raise ScenarioError(f"comm: {exc}") from exc
 
-    constraints = _build_constraints(doc.get("input_constraints"), systems,
-                                     "input_constraints")
+    systems = _with_input_set(doc.get("input_constraints"), systems, "input_constraints")
 
     # engine.Scenario owns the defaults of the keys a document leaves out
     cadence = {k: doc[k] for k in ("global_w_interval", "global_w_cap") if k in doc}
     try:
         return Scenario(systems=systems, initial_states=states, budgets=budgets,
-                        cloud=cloud, comm=comm, input_constraints=constraints, **cadence)
+                        cloud=cloud, comm=comm, **cadence)
     except Exception as exc:
         raise ScenarioError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
+def read_document(path: Path):
+    """The JSON value in the file at path; ScenarioError names a file that is not JSON."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    return build_scenario(doc, base_dir=path.parent)
+
+
+def load_scenario(path) -> Scenario:
+    path = Path(path)
+    return build_scenario(read_document(path), base_dir=path.parent)

@@ -140,6 +140,16 @@ def test_run_into_a_file_fails_before_the_run(scenario_file, tmp_path, capsys,
     assert out.read_text() == "not a directory"
 
 
+def test_run_and_validate_name_a_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    assert run_cli("run", "--scenario", path, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: ")
+    assert run_cli("validate", "--scenario", path) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: invalid JSON in {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_write_failure_is_an_error_not_a_traceback(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     (out / "metrics.csv").mkdir(parents=True)
@@ -386,6 +396,20 @@ def test_plot_missing_csvs_fails(tmp_path):
     assert not (tmp_path / "nope" / "deltaw.svg").exists()
 
 
+@pytest.mark.parametrize("kind, name", [("trajectories", "reference.csv"),
+                                        ("globalw", "global_w.csv")])
+def test_plot_header_only_csv_has_no_data_rows(kind, name, scenario_file, tmp_path,
+                                               capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    path = out / name
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", kind) == 1
+    assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+    assert not (out / f"{kind}.svg").exists()
+
+
 def test_plot_empty_window_fails(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("run", "--scenario", scenario_file, "--out", out)
@@ -449,6 +473,14 @@ def test_ellipse_plot_draws_the_lowest_agent_of_the_whole_file(scenario_file, tm
 def test_validate_ok(scenario_file, capsys):
     assert run_cli("validate", "--scenario", scenario_file) == 0
     assert "valid" in capsys.readouterr().out.lower()
+
+
+def test_validate_prints_each_agents_input_rows(capsys):
+    assert run_cli("validate", "--scenario", SCENARIO_DIR / "quadrotor_desk.json") == 0
+    agents = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("agent ")]
+    assert len(agents) > 1
+    assert all(line.endswith(" input_rows=4") for line in agents)
 
 
 def test_validate_reports_field(tmp_path, capsys):

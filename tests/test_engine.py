@@ -33,9 +33,9 @@ def grid_cloud(side, lo=0.0, hi=10.0):
     return uniform_cloud(pts)
 
 
-def first_order_scenario(n_agents=2, m_steps=30, cloud=None, **kw):
+def first_order_scenario(n_agents=2, m_steps=30, cloud=None, input_bounds=None, **kw):
     cloud = cloud if cloud is not None else grid_cloud(7)
-    sys = make_preset("first_order", 0.1)
+    sys = dataclasses.replace(make_preset("first_order", 0.1), input_bounds=input_bounds)
     states = [np.array([1.0 + 2.0 * i, 1.0]) for i in range(n_agents)]
     return Scenario(systems=[sys] * n_agents, initial_states=states,
                     budgets=[m_steps] * n_agents, cloud=cloud, **kw)
@@ -208,14 +208,24 @@ def test_scenario_alignment_checks():
 
 def test_scenario_polytope_columns_match_inputs():
     # a 3-input box for 2-input agents fails when built, not at the first step
-    with pytest.raises(InputError, match="Cu"):
-        first_order_scenario(input_constraints=InputPolytope.box(1.0, 3))
+    with pytest.raises(InputError, match="input_bounds"):
+        first_order_scenario(input_bounds=InputPolytope.box(1.0, 3))
+
+
+def test_scenario_names_the_agent_of_a_bad_state_or_budget():
+    sys = make_preset("first_order", 0.1)
+    with pytest.raises(InputError, match=r"agents\[1\]: initial_state"):
+        Scenario(systems=[sys, sys], initial_states=[np.zeros(2), np.zeros(3)],
+                 budgets=[5, 5], cloud=grid_cloud(3))
+    with pytest.raises(InputError, match=r"agents\[1\]: M"):
+        Scenario(systems=[sys, sys], initial_states=[np.zeros(2), np.zeros(2)],
+                 budgets=[5, 0], cloud=grid_cloud(3))
 
 
 def test_constrained_run_solves_no_chebyshev_lp(monkeypatch):
     """The polytope finds its interior point once, when built: the QP on a
     binding step starts there. Only the global-W2 transport LPs remain."""
-    scenario = first_order_scenario(input_constraints=InputPolytope.box(0.3, 2))
+    scenario = first_order_scenario(input_bounds=InputPolytope.box(0.3, 2))
     real_linprog = linalg.linprog
     chebyshev = []
 
@@ -235,7 +245,7 @@ def test_constrained_step_inverts_d1_once(monkeypatch):
     bits, even when two agents' D1 values interleave, and the QP reuses
     it; G and A^P come from the system, so the run takes no matrix
     powers."""
-    scenario = first_order_scenario(input_constraints=InputPolytope.box(0.3, 2))
+    scenario = first_order_scenario(input_bounds=InputPolytope.box(0.3, 2))
     calls = {"pinv": 0, "matrix_power": 0}
 
     def counting(key, fn):

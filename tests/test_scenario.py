@@ -112,16 +112,16 @@ def test_bad_preset_dt_rejected():
 def test_u_max_expands_to_box():
     doc = first_order_doc(input_constraints={"u_max": 5.0})
     sc = build_scenario(doc)
-    Cu, Du = sc.input_constraints.Cu, sc.input_constraints.Du
+    Cu, Du = sc.systems[0].input_bounds.Cu, sc.systems[0].input_bounds.Du
     assert Cu.shape == (4, 2)
     assert np.allclose(Du, 5.0)
     assert np.all(Cu @ np.array([5.0, -5.0]) <= Du + 1e-12)
     assert np.any(Cu @ np.array([5.1, 0.0]) > Du)
 
 
-def test_box_constraints_solve_no_lp_at_load(monkeypatch):
-    """The quadrotor preset's tau_max box and the scenario's u_max box are
-    centred at 0 without a Chebyshev LP."""
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """A list that gains one entry per linalg.linprog call."""
     calls = []
     real_linprog = linalg.linprog
 
@@ -130,19 +130,55 @@ def test_box_constraints_solve_no_lp_at_load(monkeypatch):
         return real_linprog(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "linprog", counting)
+    return calls
+
+
+def test_box_constraints_solve_no_lp_at_load(linprog_calls):
+    """The quadrotor preset's tau_max box and the scenario's u_max box,
+    which replaces it on every agent, are centred at 0 without a Chebyshev
+    LP."""
     path = Path(__file__).resolve().parent.parent / "scenarios" / "quadrotor_desk.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["input_constraints"] = {"u_max": 50}
     sc = build_scenario(doc, base_dir=path.parent)
-    assert sc.input_constraints is not None and len(sc.systems) > 1
-    assert calls == []
+    assert len(sc.systems) > 1
+    assert all(np.array_equal(s.input_bounds.Du, [50.0] * 4) for s in sc.systems)
+    assert linprog_calls == []
 
 
 def test_explicit_cu_du():
     doc = first_order_doc(input_constraints={
         "Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [2.0, 2.0]})
     sc = build_scenario(doc)
-    assert sc.input_constraints.Cu.shape == (2, 2)
+    assert sc.systems[0].input_bounds.Cu.shape == (2, 2)
+
+
+ONE_INPUT = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0], [0.0]],
+             "C": [[1.0, 0.0], [0.0, 1.0]], "dt": 0.1}
+
+
+def test_u_max_builds_one_box_per_agent():
+    doc = first_order_doc(n_agents=2, input_constraints={"u_max": 3.0})
+    doc["agents"][1]["system"] = ONE_INPUT
+    sc = build_scenario(doc)
+    assert [s.input_bounds.Cu.shape for s in sc.systems] == [(4, 2), (2, 1)]
+    assert all(np.array_equal(s.input_bounds.Du, [3.0] * 2 * s.m) for s in sc.systems)
+
+
+def test_shared_polytope_is_built_once_and_fits_every_agent(linprog_calls):
+    doc = first_order_doc(n_agents=3, input_constraints={
+        "Cu": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], "Du": [1.0, 0.5, 1.0]})
+    sc = build_scenario(doc)
+    assert len(linprog_calls) == 1
+    assert len({id(s.input_bounds) for s in sc.systems}) == 1
+
+
+def test_cu_column_mismatch_names_cu_and_the_agent():
+    doc = first_order_doc(n_agents=2, input_constraints={
+        "Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [1.0, 1.0]})
+    doc["agents"][1]["system"] = ONE_INPUT
+    with pytest.raises(ScenarioError, match=r"Cu does not fit agents\[1\]"):
+        build_scenario(doc)
 
 
 def test_cu_du_dimension_mismatch():
