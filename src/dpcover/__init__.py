@@ -15,8 +15,7 @@ from .dynamics import LtiSystem, make_preset, output, relative_degree, step_even
 from .engine import RunResult, Scenario, StepRecord, run
 from .errors import (DpcoverError, ExhaustionError, InfeasibleError, InputError,
                      ScenarioError, SizeError)
-from .linalg import (InputPolytope, TransportProblem, pseudo_inverse, solve_psd_qp,
-                     solve_transport_exact)
+from .linalg import InputPolytope, pseudo_inverse, solve_psd_qp, solve_transport_exact
 from .scenario import build_scenario, load_scenario
 from .transport import (LocalSelection, TransportPlan, global_wasserstein,
                         local_wasserstein, select_local_samples, weight_update)

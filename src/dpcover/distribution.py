@@ -61,20 +61,20 @@ class MixtureSpec:
         comps = []
         total = 0.0
         for mean, cov, w in self.components:
-            mean = np.asarray(mean, dtype=float).reshape(2)
-            cov = np.asarray(cov, dtype=float).reshape(2, 2)
+            mean = np.array(mean, dtype=float).reshape(2)
+            cov = np.array(cov, dtype=float).reshape(2, 2)
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
                 raise InputError("mean and covariance must be finite")
             # cholesky reads only the lower triangle
             if np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max():
                 raise InputError("covariance must be symmetric")
             try:
-                chol = np.linalg.cholesky(cov)
+                np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise InputError("covariance must be symmetric positive definite")
             if isinstance(w, bool) or not 0 < w < np.inf:
                 raise InputError("mixing weights must be positive and finite")
-            comps.append((mean, chol, float(w)))
+            comps.append((mean, cov, float(w)))
             total += w
         if not comps:
             raise InputError("mixture needs at least one component")
@@ -98,6 +98,7 @@ def sample_mixture(spec: MixtureSpec) -> SampleCloud:
     x_min, x_max, y_min, y_max = spec.domain
     mix = np.array([w for _, _, w in spec.components])
     mix = mix / mix.sum()
+    factors = [(mean, np.linalg.cholesky(cov)) for mean, cov, _ in spec.components]
     points = np.empty((spec.n_samples, 2))
     filled = drawn = 0
     while filled < spec.n_samples:
@@ -108,7 +109,7 @@ def sample_mixture(spec: MixtureSpec) -> SampleCloud:
         comp_idx = rng.choice(len(spec.components), size=want, p=mix)
         draws = np.empty((want, 2))
         z = rng.standard_normal((want, 2))
-        for c, (mean, chol, _) in enumerate(spec.components):
+        for c, (mean, chol) in enumerate(factors):
             sel = comp_idx == c
             draws[sel] = mean + z[sel] @ chol.T
         ok = ((draws[:, 0] >= x_min) & (draws[:, 0] <= x_max)

@@ -204,39 +204,27 @@ def solve_psd_qp(q: GainTerms, polytope: InputPolytope) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class TransportProblem:
-    """Balanced discrete transport instance with squared-Euclidean costs."""
-
-    supply: np.ndarray
-    demand: np.ndarray
-    cost: np.ndarray
-
-    def __post_init__(self):
-        supply = np.atleast_1d(np.asarray(self.supply, dtype=float))
-        demand = np.atleast_1d(np.asarray(self.demand, dtype=float))
-        cost = _as_matrix(self.cost, "cost")
-        if cost.shape != (supply.size, demand.size):
-            raise InputError("cost shape inconsistent with supply/demand")
-        if np.any(supply < 0) or np.any(demand < 0):
-            raise InputError("masses must be nonnegative")
-        if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
-            raise InputError("non-finite masses")
-        if abs(supply.sum() - demand.sum()) > 1e-9:
-            raise InputError("supply and demand masses are not balanced")
-        object.__setattr__(self, "supply", supply)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "cost", cost)
-
-
-def solve_transport_exact(tp: TransportProblem) -> tuple[np.ndarray, float]:
-    """Globally optimal plan for a balanced transport LP.
-
-    Returns (plan, cost) where plan[i, j] is the mass moved between supply
-    point i and demand point j. Instances above the 500x500 cap are
-    rejected; subsampling is the caller's job.
+def solve_transport_exact(supply, demand, cost) -> tuple[np.ndarray, float]:
+    """(plan, total) of the balanced transport LP moving the (n_s,) supply
+    onto the (n_d,) demand at the (n_s, n_d) cost, globally optimal;
+    plan[i, j] is the mass moved from supply point i to demand point j.
+    InputError unless the cost is finite and (n_s, n_d) and the 1-D masses
+    are nonnegative, finite and balanced within 1e-9; SizeError above the
+    500x500 cap: subsampling is the caller's job.
     """
-    n_s, n_d = tp.cost.shape
+    supply = np.atleast_1d(np.asarray(supply, dtype=float))
+    demand = np.atleast_1d(np.asarray(demand, dtype=float))
+    cost = _as_matrix(cost, "cost")
+    if supply.ndim != 1 or demand.ndim != 1 or cost.shape != (supply.size, demand.size):
+        raise InputError(f"supply and demand must be 1-D and cost (n_s, n_d), got "
+                         f"{supply.shape}, {demand.shape} and {cost.shape}")
+    if np.any(supply < 0) or np.any(demand < 0):
+        raise InputError("masses must be nonnegative")
+    if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
+        raise InputError("non-finite masses")
+    if abs(supply.sum() - demand.sum()) > 1e-9:
+        raise InputError("supply and demand masses are not balanced")
+    n_s, n_d = cost.shape
     if n_s > TRANSPORT_SIZE_CAP or n_d > TRANSPORT_SIZE_CAP:
         raise SizeError(
             f"transport instance {n_s}x{n_d} exceeds the {TRANSPORT_SIZE_CAP} cap; "
@@ -245,14 +233,13 @@ def solve_transport_exact(tp: TransportProblem) -> tuple[np.ndarray, float]:
         sparse.kron(sparse.eye(n_s), np.ones((1, n_d))),
         sparse.kron(np.ones((1, n_s)), sparse.eye(n_d)),
     ], format="csc")
-    b_eq = np.concatenate([tp.supply, tp.demand])
+    b_eq = np.concatenate([supply, demand])
     res = linprog(
-        tp.cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise InputError(f"transport LP failed: {res.message}")
     plan = np.maximum(res.x.reshape(n_s, n_d), 0.0)
-    cost = float(np.sum(plan * tp.cost))
-    return plan, cost
+    return plan, float(np.sum(plan * cost))

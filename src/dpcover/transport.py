@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExhaustionError, InputError, check_count, check_finite
-from .linalg import TRANSPORT_SIZE_CAP, TransportProblem, solve_transport_exact
+from .linalg import TRANSPORT_SIZE_CAP, solve_transport_exact
 
 
 @dataclass(frozen=True)
@@ -160,60 +160,46 @@ def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
     return float(np.sqrt(selection.taken @ _squared_distances(selection.points, agent_pos)))
 
 
-def _systematic_subsample(points: np.ndarray, weights: np.ndarray,
-                          cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic systematic resampling over the cumulative-weight axis.
-
-    A cloud of more than cap points becomes cap points of equal weight
-    1/cap, read off the cumulative weights at the fixed comb
-    (0.5 + i) / cap, i = 0 .. cap - 1; a smaller cloud is returned as is.
+def _reduce_cloud(points, weights, cap: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(points, weights, subsampled): one cloud as global_wasserstein
+    transports it. The weights are scaled to unit mass and the zero-mass
+    points dropped; a cloud still above cap points is subsampled to cap
+    points of equal weight 1/cap, read off the cumulative weights at the
+    fixed comb (0.5 + i) / cap, i = 0 .. cap - 1. The weights are then
+    rescaled to sum to 1, so two reduced clouds balance exactly for the
+    LP. InputError unless the cloud is nonempty finite (N, 2) points with
+    N nonnegative weights of positive, finite sum.
     """
-    if points.shape[0] <= cap:
-        return points, weights
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
-    u = (0.5 + np.arange(cap)) / cap
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(weights) - 1)
-    return points[idx], np.full(cap, 1.0 / cap)
+    points, weights = _as_cloud(points, weights)
+    if points.shape[0] == 0:
+        raise InputError("clouds must be nonempty")
+    if not np.all(np.isfinite(points)):
+        raise InputError("cloud points must be finite")
+    if np.any(weights < 0):
+        raise InputError("cloud weights must be nonnegative")
+    mass = weights.sum()
+    if not 0 < mass < math.inf:
+        raise InputError("clouds must carry positive, finite mass")
+    w = weights / mass
+    live = w > 0
+    points, w = points[live], w[live]
+    subsampled = w.size > cap
+    if subsampled:
+        cum = np.cumsum(w)
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, (0.5 + np.arange(cap)) / cap, side="right")
+        points, w = points[np.minimum(idx, w.size - 1)], np.full(cap, 1.0 / cap)
+    return points, w / w.sum(), subsampled
 
 
 def global_wasserstein(points_a, weights_a, points_b, weights_b,
                        cap: int = TRANSPORT_SIZE_CAP) -> tuple[float, bool]:
-    """Exact 2-Wasserstein distance between two weighted planar clouds.
-
-    Both clouds are renormalized to unit mass. Clouds with more than cap
-    positive-mass points are first reduced to cap equal-weight points on
-    the fixed comb of _systematic_subsample; the returned flag reports
-    whether any subsampling happened. cap must be an integer >= 1; each
-    cloud needs finite (N, 2) points and N nonnegative weights of positive,
-    finite sum.
-    """
+    """(W2, subsampled): the exact 2-Wasserstein distance between two
+    weighted planar clouds, each reduced by _reduce_cloud with the integer
+    cap >= 1, and whether either cloud was subsampled."""
     check_count(cap, "cap", 1)
-    points_a, weights_a = _as_cloud(points_a, weights_a)
-    points_b, weights_b = _as_cloud(points_b, weights_b)
-    if points_a.shape[0] == 0 or points_b.shape[0] == 0:
-        raise InputError("clouds must be nonempty")
-    if not (np.all(np.isfinite(points_a)) and np.all(np.isfinite(points_b))):
-        raise InputError("cloud points must be finite")
-    if np.any(weights_a < 0) or np.any(weights_b < 0):
-        raise InputError("cloud weights must be nonnegative")
-    if not (0 < weights_a.sum() < math.inf and 0 < weights_b.sum() < math.inf):
-        raise InputError("clouds must carry positive, finite mass")
-    wa = weights_a / weights_a.sum()
-    wb = weights_b / weights_b.sum()
-    # drop zero-mass points before sizing against the cap
-    ka = wa > 0
-    kb = wb > 0
-    points_a, wa = points_a[ka], wa[ka]
-    points_b, wb = points_b[kb], wb[kb]
-
-    subsampled = max(points_a.shape[0], points_b.shape[0]) > cap
-    points_a, wa = _systematic_subsample(points_a, wa, cap)
-    points_b, wb = _systematic_subsample(points_b, wb, cap)
-    # rebalance exactly after the independent renormalizations
-    wa = wa / wa.sum()
-    wb = wb / wb.sum()
+    points_a, wa, subsampled_a = _reduce_cloud(points_a, weights_a, cap)
+    points_b, wb, subsampled_b = _reduce_cloud(points_b, weights_b, cap)
     cost = _squared_distances(points_b, points_a[:, None, :])
-    _, total = solve_transport_exact(TransportProblem(wa, wb, cost))
-    return float(np.sqrt(max(total, 0.0))), subsampled
+    _, total = solve_transport_exact(wa, wb, cost)
+    return float(np.sqrt(max(total, 0.0))), subsampled_a or subsampled_b

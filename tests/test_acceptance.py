@@ -21,7 +21,7 @@ from dpcover.controller import (convergence_check, delta_w, gain_terms,
 from dpcover.distribution import MixtureSpec, sample_mixture
 from dpcover.dynamics import LtiSystem, make_preset
 from dpcover.engine import Scenario, run
-from dpcover.linalg import TransportProblem, solve_transport_exact
+from dpcover.linalg import solve_transport_exact
 from dpcover.scenario import build_scenario, load_scenario
 from dpcover.transport import weight_update
 
@@ -155,7 +155,7 @@ def test_criterion_05_greedy_matches_lp(rng, announce):
         d = np.sum((positions - y) ** 2, axis=1)
         cost = np.column_stack([d, np.zeros(n)])
         demand = np.array([alpha, weights.sum() - alpha])
-        _, lp_cost = solve_transport_exact(TransportProblem(weights, demand, cost))
+        _, lp_cost = solve_transport_exact(weights, demand, cost)
         assert float(gammas @ d) == pytest.approx(lp_cost, abs=1e-9)
     announce(5, "500 instances, greedy cost equals LP optimum within 1e-9")
 
@@ -245,7 +245,7 @@ def test_criterion_09_metric_axioms_and_oracle(rng, announce):
     for _ in range(400):
         m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         s, d, cost = random_balanced(rng, m, n)
-        _, got = solve_transport_exact(TransportProblem(s, d, cost))
+        _, got = solve_transport_exact(s, d, cost)
         want = enumerate_transport_optimum(s, d, cost)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
         trials += 1

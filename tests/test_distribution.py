@@ -1,5 +1,7 @@
 """Reference cloud construction, CSV loading, and mass bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,21 @@ def test_sampler_statistics():
     cloud = sample_mixture(spec)
     tol = 5.0 / np.sqrt(10_000)
     assert np.all(np.abs(cloud.positions.mean(axis=0) - [1.0, -2.0]) < tol)
+
+
+
+@pytest.mark.parametrize("cov", [[[4.0, 0.0], [0.0, 4.0]], [[4.0, 1.0], [1.0, 3.0]]])
+def test_spec_rebuilt_by_replace_keeps_its_covariances(cov):
+    """A spec rebuilt from its own fields holds the covariances it was
+    given, not their factors, and samples with them."""
+    wide = (-100.0, 100.0, -100.0, 100.0)
+    spec = single_gaussian(20_000, seed=3, domain=wide, mean=(0.0, 0.0), cov=cov)
+    again = dataclasses.replace(spec, seed=4)
+    assert np.array_equal(again.components[0][1], cov)
+    assert np.array_equal(sample_mixture(dataclasses.replace(again, seed=3)).positions,
+                          sample_mixture(spec).positions)
+    spread = np.cov(sample_mixture(again).positions.T)
+    assert np.allclose(spread, cov, atol=0.2)
 
 
 def test_default_scale_cloud():

@@ -12,8 +12,8 @@ import pytest
 
 from dpcover.controller import GainTerms
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (InputPolytope, TransportProblem, _chebyshev_centre,
-                            pseudo_inverse, solve_psd_qp, solve_transport_exact)
+from dpcover.linalg import (InputPolytope, _chebyshev_centre, pseudo_inverse,
+                            solve_psd_qp, solve_transport_exact)
 
 
 # ---------------------------------------------------------------- pseudoinverse
@@ -266,8 +266,8 @@ def test_qp_kkt_property_random(rng):
 # ------------------------------------------------------------------ transport
 
 def test_transport_single_pair():
-    plan, cost = solve_transport_exact(
-        TransportProblem(np.array([1.0]), np.array([1.0]), np.array([[25.0]])))
+    plan, cost = solve_transport_exact(np.array([1.0]), np.array([1.0]),
+                                       np.array([[25.0]]))
     assert np.allclose(plan, [[1.0]])
     assert cost == pytest.approx(25.0, abs=1e-10)
 
@@ -276,7 +276,7 @@ def test_transport_identical_clouds_zero_cost():
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
     cost = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     w = np.array([0.2, 0.5, 0.3])
-    _, c = solve_transport_exact(TransportProblem(w, w, cost))
+    _, c = solve_transport_exact(w, w, cost)
     assert c == pytest.approx(0.0, abs=1e-9)
 
 
@@ -290,21 +290,30 @@ def test_transport_line_instance():
         (0.5 - t) * 1.0 + t * 4.0 + t * 0.0 + (0.5 - t) * 1.0
         for t in np.linspace(0.0, 0.5, 5001)
     )
-    _, c = solve_transport_exact(TransportProblem(supply, demand, cost))
+    _, c = solve_transport_exact(supply, demand, cost)
     assert c == pytest.approx(1.0, abs=1e-9)
     assert c == pytest.approx(best, abs=1e-6)
 
 
-def test_transport_unbalanced_rejected():
-    with pytest.raises(InputError):
-        TransportProblem(np.array([1.0]), np.array([0.5]), np.array([[1.0]]))
-
-
-def test_transport_size_cap():
-    n = 501
-    with pytest.raises(SizeError):
-        solve_transport_exact(TransportProblem(
-            np.ones(n) / n, np.array([1.0]), np.ones((n, 1))))
+@pytest.mark.parametrize("supply, demand, cost, error, message", [
+    pytest.param([1.5, -0.5], [1.0], [[1.0], [2.0]], InputError, "nonnegative",
+                 id="negative-mass"),
+    pytest.param([np.nan], [1.0], [[1.0]], InputError, "non-finite masses",
+                 id="nan-mass"),
+    pytest.param([0.5, 0.5], [1.0], [[1.0, 2.0]], InputError, "1-D and cost",
+                 id="cost-shape"),
+    pytest.param([[0.5], [0.5]], [1.0], [[1.0], [2.0]], InputError, "1-D and cost",
+                 id="2-d-mass"),
+    pytest.param([1.0], [1.0], [[np.inf]], InputError, "cost contains non-finite",
+                 id="nonfinite-cost"),
+    pytest.param([1.0], [0.5], [[1.0]], InputError, "not balanced", id="unbalanced"),
+    pytest.param(np.ones(501) / 501, [1.0], np.ones((501, 1)), SizeError,
+                 "501x1 exceeds the 500 cap", id="size-cap"),
+])
+def test_transport_rejects_bad_input(supply, demand, cost, error, message):
+    """Each check of the solver's arrays, and the size cap, by its message."""
+    with pytest.raises(error, match=message):
+        solve_transport_exact(supply, demand, cost)
 
 
 def enumerate_transport_optimum(supply, demand, cost):
@@ -354,7 +363,7 @@ def test_transport_matches_enumeration_oracle(rng):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         s, d, cost = random_balanced(rng, m, n)
-        _, got = solve_transport_exact(TransportProblem(s, d, cost))
+        _, got = solve_transport_exact(s, d, cost)
         want = enumerate_transport_optimum(s, d, cost)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -400,7 +409,7 @@ def test_transport_dual_certificate_larger(rng):
         m = int(rng.integers(5, 7))
         n = int(rng.integers(5, 7))
         s, d, cost = continuous_balanced(rng, m, n)
-        plan, got = solve_transport_exact(TransportProblem(s, d, cost))
+        plan, got = solve_transport_exact(s, d, cost)
         assert np.allclose(plan.sum(axis=1), s, atol=1e-9)
         assert np.allclose(plan.sum(axis=0), d, atol=1e-9)
         assert got == pytest.approx(float(np.sum(plan * cost)), abs=1e-9)
@@ -415,7 +424,7 @@ def test_transport_dual_certificate_larger(rng):
 
 def w2(pts_a, w_a, pts_b, w_b):
     cost = np.sum((pts_a[:, None, :] - pts_b[None, :, :]) ** 2, axis=2)
-    _, c = solve_transport_exact(TransportProblem(w_a, w_b, cost))
+    _, c = solve_transport_exact(w_a, w_b, cost)
     return np.sqrt(max(c, 0.0))
 
 

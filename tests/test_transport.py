@@ -1,14 +1,16 @@
 """Local selection, the greedy weight update, and Wasserstein diagnostics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcover.errors import ExhaustionError, InputError
-from dpcover.linalg import TransportProblem, solve_transport_exact
+from dpcover.linalg import solve_transport_exact
 from dpcover.transport import (_PREFIX, WEIGHT_SNAP, LocalSelection,
-                               _fill_nearest, _squared_distances,
+                               _fill_nearest, _reduce_cloud, _squared_distances,
                                global_wasserstein, local_wasserstein,
                                select_local_samples, weight_update)
 
@@ -216,8 +218,7 @@ def test_weight_update_matches_exact_lp(rng):
         d = np.sum((positions - y) ** 2, axis=1)
         cost = np.column_stack([d, np.zeros(n)])
         demand = np.array([alpha, weights.sum() - alpha])
-        lp_plan, lp_cost = solve_transport_exact(
-            TransportProblem(weights, demand, cost))
+        lp_plan, lp_cost = solve_transport_exact(weights, demand, cost)
         assert float(gammas @ d) == pytest.approx(lp_cost, abs=1e-9)
         assert np.allclose(lp_plan.sum(axis=1), weights, atol=1e-9)
 
@@ -373,6 +374,49 @@ def test_global_wasserstein_empty_cloud_rejected():
     with pytest.raises(InputError):
         global_wasserstein(np.zeros((0, 2)), np.zeros(0),
                            np.array([[0.0, 0.0]]), np.array([1.0]))
+
+
+# a small fixed pair of clouds, and the W2 values dpcover has given for them
+PAIR_A = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 2.0], [0.5, 3.0], [3.0, 1.0]])
+PAIR_WA = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+PAIR_B = np.array([[1.0, 1.0], [2.5, 0.0], [0.0, 2.0], [3.0, 3.0]])
+PAIR_WB = np.array([0.4, 0.1, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("cap, expected", [
+    (500, (1.1884864324004711, False)),  # neither cloud reduced
+    (4, (1.25, True)),                   # only the 5-point cloud is above cap
+    (3, (1.0801234497346432, True)),     # both clouds resampled to 3 points
+])
+def test_global_wasserstein_pins_its_bits(cap, expected):
+    assert global_wasserstein(PAIR_A, PAIR_WA, PAIR_B, PAIR_WB, cap=cap) == expected
+
+
+def test_global_wasserstein_zero_mass_points_do_not_count_toward_cap(rng):
+    pts = rng.uniform(0, 10, size=(90, 2))
+    w = np.full(90, 1.0 / 60)
+    w[::3] = 0.0
+    ref = rng.uniform(0, 10, size=(40, 2))
+    w_ref = np.full(40, 1.0 / 40)
+    got = global_wasserstein(pts, w, ref, w_ref, cap=60)
+    assert not got[1]
+    assert got == global_wasserstein(pts[w > 0], w[w > 0], ref, w_ref, cap=60)
+
+
+def test_reduced_cloud_size_in_the_benchmark_counter_matches(monkeypatch, rng):
+    """perfbench/layers.py sizes each reduced cloud for its cost_cells
+    counter without calling dpcover; it must agree with _reduce_cloud."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import layers
+
+    for n, n_zero, cap in [(90, 30, 60), (90, 29, 60), (5, 0, 500), (500, 0, 499),
+                           (40, 39, 1), (300, 100, 7)]:
+        pts = rng.uniform(0, 10, size=(n, 2))
+        w = rng.uniform(0.5, 1.0, size=n)
+        w[rng.permutation(n)[:n_zero]] = 0.0
+        points, weights, subsampled = _reduce_cloud(pts, w, cap)
+        assert layers._reduced_cloud(w, cap)[0] == weights.size == points.shape[0]
+        assert subsampled == (n - n_zero > cap)
 
 
 # ----------------------------------------------------------- property sampling
