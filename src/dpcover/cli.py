@@ -38,20 +38,13 @@ RUN_FILES = ("trajectories.csv", "metrics.csv", "global_w.csv", "reference.csv",
              "gains.csv", *(f"{kind}.svg" for kind in PLOT_KINDS))
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write header and rows; every cell is a str, an int or a Python float
+    (written by repr), so a bool comes as 0/1 and an array through .tolist()."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
@@ -63,40 +56,38 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
             (out_dir / name).unlink(missing_ok=True)
     m_max = max(s.m for s in scenario.systems)
 
-    traj_rows = []
-    for agent, traj in enumerate(result.trajectories):
-        for k, (y1, y2) in enumerate(traj, start=1):
-            traj_rows.append((agent, k, y1, y2))
-    _write_csv(out_dir / "trajectories.csv", ["agent", "k", "y1", "y2"], traj_rows)
+    _write_csv(out_dir / "trajectories.csv", ["agent", "k", "y1", "y2"],
+               [(agent, k, y1, y2) for agent, traj in enumerate(result.trajectories)
+                for k, (y1, y2) in enumerate(traj.tolist(), start=1)])
 
     u_cols = [f"u{i + 1}" for i in range(m_max)]
     metric_rows = []
     for r in result.records:
-        u = list(r.u) + [""] * (m_max - len(r.u))
+        u = r.u.tolist() + [""] * (m_max - len(r.u))
         metric_rows.append(
-            (r.agent, r.k, *u, r.delta_w_pred, r.local_w, r.in_range,
-             r.range_nonempty, r.comm_events,
+            (r.agent, r.k, *u, float(r.delta_w_pred), float(r.local_w), int(r.in_range),
+             int(r.range_nonempty), r.comm_events,
              f"{r.stage_a_ms:.3f}" if timing else "0.000",
              f"{r.stage_b_ms:.3f}" if timing else "0.000",
              f"{r.stage_c_ms:.3f}" if timing else "0.000",
-             r.bound_violation))
+             int(r.bound_violation)))
     _write_csv(out_dir / "metrics.csv",
                ["agent", "k", *u_cols, "delta_w", "local_w", "in_range",
                 "range_nonempty", "comm_events", "stageA_ms", "stageB_ms",
                 "stageC_ms", "bound_violation"], metric_rows)
 
     _write_csv(out_dir / "global_w.csv", ["k", "w2", "subsampled"],
-               [(k, w, sub) for k, w, sub in result.global_w])
+               [(k, float(w), int(sub)) for k, w, sub in result.global_w])
 
     _write_csv(out_dir / "reference.csv", ["x", "y", "weight"],
-               [(x, y, w) for (x, y), w in zip(scenario.cloud.positions,
-                                               scenario.cloud.weights)])
+               np.column_stack((scenario.cloud.positions, scenario.cloud.weights)).tolist())
 
     if all(s.m == 2 for s in scenario.systems):
-        gain_rows = [(r.agent, r.k, r.gains.D1[0, 0], r.gains.D1[0, 1],
-                      r.gains.D1[1, 1], r.gains.D2[0], r.gains.D2[1], r.gains.D3,
-                      r.u[0], r.u[1], r.gains.u_star[0], r.gains.u_star[1])
-                     for r in result.records]
+        gain_rows = []
+        for r in result.records:
+            (d1_11, d1_12), (_, d1_22) = r.gains.D1.tolist()
+            gain_rows.append((r.agent, r.k, d1_11, d1_12, d1_22, *r.gains.D2.tolist(),
+                              float(r.gains.D3), *r.u.tolist(), *r.gains.u_star.tolist()))
         _write_csv(out_dir / "gains.csv",
                    ["agent", "k", "d1_11", "d1_12", "d1_22", "d2_1", "d2_2",
                     "d3", "u1", "u2", "uu1", "uu2"], gain_rows)

@@ -93,10 +93,10 @@ class RunResult:
 
 class _AgentCtx:
     def __init__(self, idx: int, sys: LtiSystem, x0, budget: int,
-                 weights: np.ndarray, alpha: float, cloud_positions: np.ndarray):
+                 weights: np.ndarray, alpha: float, grid: transport.CloudGrid):
         self.idx = idx
         self.sys = sys
-        self.cloud_positions = cloud_positions
+        self.grid = grid
         self.x = np.asarray(x0, dtype=float).copy()
         self.budget = budget
         self.weights = weights
@@ -120,8 +120,7 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
     which exceeds REMAINING_MASS_EPS while the run goes on (run's `done`).
     """
     t0 = time.perf_counter()
-    positions = ctx.cloud_positions
-    selection = transport.select_local_samples(ctx.weights, positions, ctx.q_bar, ctx.alpha)
+    selection = transport.select_local_samples(ctx.weights, ctx.grid, ctx.q_bar, ctx.alpha)
     alpha_used = selection.total_mass
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
     bounds = ctx.sys.input_bounds
@@ -143,7 +142,7 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
     t1 = time.perf_counter()
     # alpha_used is a sum of this view's live weights: it exceeds their
     # total by ulps at most, and then every live weight is taken whole
-    plan = transport.weight_update(positions, ctx.weights, y_new, alpha_used)
+    plan = transport.weight_update(ctx.grid, ctx.weights, y_new, alpha_used)
     ctx.weights[plan.indices] -= plan.gammas
     stage_b_ms = (time.perf_counter() - t1) * 1e3
 
@@ -178,11 +177,11 @@ def run(scenario: Scenario) -> RunResult:
     input, and the run draws no random numbers."""
     cloud = scenario.cloud
     alpha = agent_alpha(scenario.budgets)
-    # the positions never move during a run; Fortran order makes their x
-    # and y columns contiguous, which every agent-step's whole-cloud
-    # distance pass reads (the same bits as the (N, 2) C-ordered rows)
-    positions = np.asfortranarray(cloud.positions)
-    agents = [_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha, positions)
+    # the positions never move during a run: bucketed once into a grid,
+    # so each claim ranks the cells about its centre, with the bits of
+    # ranking the whole cloud
+    grid = transport.CloudGrid(cloud.positions)
+    agents = [_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha, grid)
               for i, (sys, x0, m) in enumerate(zip(scenario.systems,
                                                    scenario.initial_states,
                                                    scenario.budgets))]

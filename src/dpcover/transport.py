@@ -52,6 +52,15 @@ WEIGHT_SNAP = 1e-12
 # most 16 in the benchmark workloads)
 _PREFIX = 64
 
+# clouds below this size get no grid: at 600 samples a whole-cloud fill
+# costs what a grid query does
+GRID_MIN_SAMPLES = 2048
+# a claim's first block holds about this many times its demand at the
+# view's mean density, and widens (its half-width doubled) at most _GROWS
+# times before the whole cloud is filled
+_BLOCK_MASS = 2.0
+_GROWS = 3
+
 
 def _fill_nearest(weights, keys, demand: float):
     """(indices, taken, exhausted): the live samples (weight > 0) in
@@ -61,23 +70,32 @@ def _fill_nearest(weights, keys, demand: float):
     keyed NaN, which numpy ranks after every live key, +inf included.
 
     Only a tie-closed prefix is ranked: every key <= the k-th smallest
-    (np.partition), sorted stably from index order, is exactly the head of
-    the full stable order, so the result equals that of the full stable
-    argsort bit for bit. k = min(_PREFIX, live count), grown once to the
-    live count (the whole live set) when that prefix holds less than demand.
+    (np.partition) is exactly the head of the full stable order, so the
+    result equals that of the full stable argsort bit for bit. k =
+    min(_PREFIX, live count), grown once to the live count (the whole live
+    set) when that prefix holds less than demand.
     """
     live = weights > 0
     n_live = np.count_nonzero(live)
     if n_live == 0:
         raise ExhaustionError("all sample-point weights are zero")
     keys = np.where(live, keys, np.nan)
-    target = demand - 1e-15
     for k in (min(_PREFIX, n_live), n_live):
         head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
-        order = head[np.argsort(keys[head], kind="stable")]
-        cum = np.cumsum(weights[order])
-        if cum[-1] >= target or order.size >= n_live:
+        idx, taken, exhausted = _take(weights, keys, head, demand)
+        if not exhausted or head.size >= n_live:
             break
+    return idx, taken, exhausted
+
+
+def _take(weights, keys, head, demand: float):
+    """(indices, taken, exhausted): the greedy fill along `head`, live
+    samples in ascending index that every other live sample ranks after:
+    sorted stably by key, each taken whole and the last partially until
+    the demand is met, or all of them whole (exhausted)."""
+    order = head[np.argsort(keys[head], kind="stable")]
+    cum = np.cumsum(weights[order])
+    target = demand - 1e-15
     exhausted = cum[-1] < target
     n_take = order.size if exhausted else int(np.searchsorted(cum, target)) + 1
     taken = weights[order[:n_take]]
@@ -86,16 +104,97 @@ def _fill_nearest(weights, keys, demand: float):
     return order[:n_take], taken, exhausted
 
 
-def _as_cloud(positions, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 2) positions and their (N,) weights as float arrays, else InputError.
-    Only the shapes are checked: a finiteness check would cost a pass over
-    the cloud on every call, and SampleCloud already requires finite values."""
-    positions = np.asarray(positions, dtype=float)
+class CloudGrid:
+    """A cloud's fixed sample positions, bucketed once into a uniform grid,
+    so that a claim ranks the samples near its centre, not the whole cloud.
+
+    The cell count follows N, about two samples a cell, over the cloud's
+    bounding box; a cloud of fewer than GRID_MIN_SAMPLES samples gets no
+    grid (`order` is None) and every claim ranks the whole cloud. The cells
+    are stored CSR, in row-major cell order: `order` lists the sample
+    indices cell by cell, ascending within a cell, and cell c holds
+    order[starts[c]:starts[c + 1]]. The bound of a block reads the samples'
+    own coordinates, not the cell edges, so it holds whatever rounding put
+    a sample in its cell: `x_before[i]` is the largest x in the columns
+    before column i (-inf when none) and `x_after[i]` the smallest x in the
+    columns after it (+inf when none), and likewise `y_before`, `y_after`
+    over the rows. InputError unless positions are finite (N, 2) values.
+    """
+
+    def __init__(self, positions):
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise InputError(f"positions must be (N, 2), got {positions.shape}")
+        if not np.all(np.isfinite(positions)):
+            raise InputError("positions must be finite")
+        # C order: a block gathers whole rows (take on a Fortran array is slow)
+        self.positions = np.ascontiguousarray(positions)
+        self.order = None
+        n = positions.shape[0]
+        if n < GRID_MIN_SAMPLES:
+            return
+        lo = positions.min(axis=0)
+        span = positions.max(axis=0) - lo
+        # at most about 3 N / 2 cells, even for a long thin or a flat cloud
+        h = max(math.sqrt(span[0] * span[1] / (n // 2)), span.max() / (n // 2)) or 1.0
+        self.lo, self.h = lo.tolist(), float(h)
+        self.nx, self.ny = (int(s // h) + 1 for s in span)
+        ix, iy = (np.minimum(((positions[:, a] - lo[a]) // h).astype(np.intp), size - 1)
+                  for a, size in ((0, self.nx), (1, self.ny)))
+        cell = iy * self.nx + ix
+        self.order = np.argsort(cell, kind="stable")
+        self.starts = np.searchsorted(cell[self.order], np.arange(self.nx * self.ny + 1))
+        self.x_before, self.x_after = _edges(positions[:, 0], ix, self.nx)
+        self.y_before, self.y_after = _edges(positions[:, 1], iy, self.ny)
+
+    def block(self, center, half: float) -> tuple[np.ndarray, float]:
+        """(samples, gap): the samples of the cells that meet the square of
+        half-width `half` about `center`, in ascending index, and a gap such
+        that every other sample j has |fl(q_j - center)| >= gap on one axis
+        (gap 0 when the centre lies beyond the block's outer samples).
+        The square is clipped to the grid, so a far centre gets the cells
+        at the border nearest it."""
+        cx, cy = center.tolist()
+        # any cells make a valid block: the gap reads the samples themselves
+        lx, ly, h = self.lo[0], self.lo[1], self.h
+        ix0 = int(min(max((cx - half - lx) / h, 0.0), self.nx - 1.0))
+        ix1 = int(min(max((cx + half - lx) / h, 0.0), self.nx - 1.0))
+        iy0 = int(min(max((cy - half - ly) / h, 0.0), self.ny - 1.0))
+        iy1 = int(min(max((cy + half - ly) / h, 0.0), self.ny - 1.0))
+        starts, order, nx = self.starts, self.order, self.nx
+        samples = np.sort(np.concatenate([order[starts[row + ix0]:starts[row + ix1 + 1]]
+                                          for row in range(iy0 * nx, iy1 * nx + 1, nx)]))
+        gap = min(cx - self.x_before[ix0], self.x_after[ix1] - cx,
+                  cy - self.y_before[iy0], self.y_after[iy1] - cy)
+        return samples, max(gap, 0.0)
+
+
+def _edges(coord, cell, size: int) -> tuple[list[float], list[float]]:
+    """(before, after) over `size` columns of one axis: before[i] the
+    largest coordinate in the columns before i, after[i] the smallest in
+    the columns after i, -inf and +inf when there is none."""
+    high = np.full(size, -np.inf)
+    low = np.full(size, np.inf)
+    np.maximum.at(high, cell, coord)
+    np.minimum.at(low, cell, coord)
+    before = [-math.inf, *np.maximum.accumulate(high)[:-1].tolist()]
+    after = [*np.minimum.accumulate(low[::-1])[::-1][1:].tolist(), math.inf]
+    return before, after
+
+
+def _as_cloud(positions, weights) -> tuple[np.ndarray, np.ndarray, CloudGrid | None]:
+    """(positions, weights, grid): (N, 2) positions and their (N,) weights
+    as float arrays, and the grid when positions is a CloudGrid (None for
+    a plain array), else InputError. Only the shapes are checked: a
+    finiteness check would cost a pass over the cloud on every call, and
+    SampleCloud and CloudGrid already require finite values."""
+    grid = positions if isinstance(positions, CloudGrid) else None
+    positions = grid.positions if grid else np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2 or weights.shape != positions.shape[:1]:
         raise InputError(f"positions must be (N, 2) and weights (N,), got "
                          f"{positions.shape} and {weights.shape}")
-    return positions, weights
+    return positions, weights, grid
 
 
 def _squared_distances(points, center):
@@ -105,22 +204,61 @@ def _squared_distances(points, center):
     return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
 
 
+def _keys(d2, weights, weighted: bool):
+    """The fill's keys: squared distance, or (weighted) distance over weight."""
+    if not weighted:
+        return d2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(d2) / weights
+
+
+def _claim(positions, weights, grid, center, demand: float, weighted: bool):
+    """_fill_nearest over the whole cloud keyed by _keys, bit for bit.
+
+    With a grid it first looks at a block of cells about `center` holding
+    about _BLOCK_MASS times the demand at the view's mean density. No
+    sample outside the block has a key below bound = _keys(gap**2, the
+    largest weight), since fl rounding is monotone, so the block's live
+    samples keyed below the bound are a head of the whole cloud's stable
+    order; when they hold the demand, the fill along them is the whole
+    cloud's. Else the block widens, up to _GROWS times, and then the whole
+    cloud is filled, the one path to exhaustion and ExhaustionError.
+    """
+    if grid is not None and grid.order is not None and demand < (total := weights.sum()):
+        w_max = float(weights.max()) if weighted else 1.0
+        half = 0.5 * grid.h * math.sqrt(_BLOCK_MASS * demand / total * grid.nx * grid.ny)
+        for _ in range(_GROWS + 1):
+            samples, gap = grid.block(center, half)
+            # _keys(gap * gap, w_max) in the keys' own float operations
+            bound = math.sqrt(gap * gap) / w_max if weighted else gap * gap
+            w = weights.take(samples)
+            keys = _keys(_squared_distances(positions.take(samples, axis=0), center), w,
+                         weighted)
+            head = np.flatnonzero((w > 0) & (keys < bound))
+            if head.size:
+                idx, taken, exhausted = _take(w, keys, head, demand)
+                if not exhausted:
+                    return samples[idx], taken, False
+            half *= 2.0
+    return _fill_nearest(weights, _keys(_squared_distances(positions, center), weights,
+                                        weighted), demand)
+
+
 def select_local_samples(weights, positions, prev_center, alpha: float) -> LocalSelection:
     """Greedy selection by ascending weight-normalized Euclidean distance.
 
     d_j = ||q_j - prev_center|| / beta_j over beta_j > 0; points are taken
     in ascending d_j (ties broken by ascending index), the last one
     partially, until the claimed mass reaches alpha or the weights run out.
+    positions is an (N, 2) array or the cloud's CloudGrid.
     """
-    positions, weights = _as_cloud(positions, weights)
+    positions, weights, grid = _as_cloud(positions, weights)
     if not 0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
     prev_center = check_finite(prev_center, 2, "prev_center")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        keys = np.sqrt(_squared_distances(positions, prev_center)) / weights
     # every take is > 0: a whole take is a live weight, and the fill stops at
     # the first cum >= alpha - 1e-15, so a partial one is > 1e-15 - ulp
-    idx, taken, exhausted = _fill_nearest(weights, keys, alpha)
+    idx, taken, exhausted = _claim(positions, weights, grid, prev_center, alpha, True)
     pts = positions[idx]
     center = (taken @ pts) / taken.sum()
     return LocalSelection(indices=idx, taken=taken, points=pts,
@@ -136,15 +274,15 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     ties broken by ascending index; alpha_next = 0 claims nothing. A last
     take that would leave less than WEIGHT_SNAP takes the weight whole.
     ExhaustionError if alpha_next exceeds the live mass by over 1e-12.
+    positions is an (N, 2) array or the cloud's CloudGrid.
     """
-    positions, weights = _as_cloud(positions, weights)
+    positions, weights, grid = _as_cloud(positions, weights)
     if not 0 <= alpha_next < math.inf:
         raise InputError("alpha_next must be nonnegative and finite")
     agent_pos = check_finite(agent_pos, 2, "agent_pos")
     if alpha_next == 0:
         return TransportPlan(np.empty(0, dtype=np.intp), np.empty(0))
-    idx, fill, exhausted = _fill_nearest(weights, _squared_distances(positions, agent_pos),
-                                         alpha_next)
+    idx, fill, exhausted = _claim(positions, weights, grid, agent_pos, alpha_next, False)
     if exhausted and alpha_next > fill.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
     if weights[idx[-1]] - fill[-1] < WEIGHT_SNAP:
@@ -170,7 +308,7 @@ def _reduce_cloud(points, weights, cap: int) -> tuple[np.ndarray, np.ndarray, bo
     LP. InputError unless the cloud is nonempty finite (N, 2) points with
     N nonnegative weights of positive, finite sum.
     """
-    points, weights = _as_cloud(points, weights)
+    points, weights, _ = _as_cloud(points, weights)
     if points.shape[0] == 0:
         raise InputError("clouds must be nonempty")
     if not np.all(np.isfinite(points)):

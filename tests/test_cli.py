@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,76 @@ def test_csv_round_trip_matches_replay_metrics(scenario_file, tmp_path):
     assert [(int(r[gh.index("k")]), float(r[gh.index("w2")]),
              r[gh.index("subsampled")] == "1") for r in grows] == res.global_w
     assert len(grows) >= 1
+
+
+SINGLE_INPUT = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0], [1.0]],
+                "C": [[1.0, 0.0], [0.0, 1.0]], "dt": 0.1}
+
+
+def _cell(v) -> str:
+    """A CSV cell by hand: an int by str, a bool as 0/1, a float by repr."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def _expected_csvs(scenario, result) -> dict[str, list[list[str]]]:
+    m_max = max(s.m for s in scenario.systems)
+    recs = result.records
+    rows = {
+        "trajectories.csv": [["agent", "k", "y1", "y2"]] + [
+            [agent, k, *y] for agent, traj in enumerate(result.trajectories)
+            for k, y in enumerate(traj, start=1)],
+        "metrics.csv": [["agent", "k", *(f"u{i + 1}" for i in range(m_max)), "delta_w",
+                         "local_w", "in_range", "range_nonempty", "comm_events",
+                         "stageA_ms", "stageB_ms", "stageC_ms", "bound_violation"]] + [
+            [r.agent, r.k, *r.u, *[""] * (m_max - r.u.size), r.delta_w_pred, r.local_w,
+             r.in_range, r.range_nonempty, r.comm_events, "0.000", "0.000", "0.000",
+             r.bound_violation] for r in recs],
+        "global_w.csv": [["k", "w2", "subsampled"]] + [list(g) for g in result.global_w],
+        "reference.csv": [["x", "y", "weight"]] + [
+            [*q, w] for q, w in zip(scenario.cloud.positions, scenario.cloud.weights)],
+    }
+    if m_max == 2 and all(s.m == 2 for s in scenario.systems):
+        rows["gains.csv"] = [["agent", "k", "d1_11", "d1_12", "d1_22", "d2_1", "d2_2", "d3",
+                              "u1", "u2", "uu1", "uu2"]] + [
+            [r.agent, r.k, r.gains.D1[0, 0], r.gains.D1[0, 1], r.gains.D1[1, 1],
+             *r.gains.D2, r.gains.D3, *r.u, *r.gains.u_star] for r in recs]
+    return {name: [[_cell(v) for v in row] for row in table]
+            for name, table in rows.items()}
+
+
+@pytest.mark.parametrize("timing", [False, True])
+@pytest.mark.parametrize("second_system", [None, SINGLE_INPUT], ids=["two-input", "mixed"])
+def test_csv_cells_are_formatted_from_the_run_result(second_system, timing, tmp_path):
+    """Every CSV byte follows from the RunResult: ints by str, bools 0/1,
+    floats by repr, a shorter input vector padded with empty cells, and
+    the stage columns 0.000, or three decimals under --timing."""
+    doc = first_order_doc(n_agents=2, m_steps=5)
+    if second_system is not None:
+        doc["agents"][1]["system"] = second_system
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", path, "--out", out, *["--timing"] * timing) == 0
+    scenario = load_scenario(path)
+    expected = _expected_csvs(scenario, run(scenario))
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(expected)
+    for name, rows in expected.items():
+        lines = (out / name).read_bytes().decode("utf-8").split("\r\n")
+        assert lines.pop() == ""  # the last row ends the file with \r\n
+        cells = [line.split(",") for line in lines]
+        if timing and name == "metrics.csv":
+            stages = [rows[0].index(c) for c in ("stageA_ms", "stageB_ms", "stageC_ms")]
+            for row in cells[1:]:
+                for c in stages:
+                    assert re.fullmatch(r"\d+\.\d{3}", row[c]), row[c]
+                    row[c] = "0.000"
+        assert cells == rows, name
 
 
 # ------------------------------------------------------------------------ plot

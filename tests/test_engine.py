@@ -190,6 +190,32 @@ def test_finite_comm_range_changes_nothing_when_apart():
     assert all(r.comm_events == 0 for r in res.records)
 
 
+# -------------------------------------------------------------------- claims
+
+def test_default_shaped_claims_rarely_rank_the_whole_cloud(monkeypatch):
+    """On the default scenario's cloud (5975 samples, 3 agents), nearly every
+    claim is settled inside its grid block: a grid that always fell back to
+    the whole-cloud fill would pass every bit-identity test and lose its
+    speed."""
+    doc = json.loads((SCENARIO_DIR / "first_order_default.json").read_text())
+    for agent in doc["agents"]:
+        agent["M"] = 20
+    scenario = build_scenario(doc, base_dir=SCENARIO_DIR)
+    assert scenario.cloud.n_points >= transport.GRID_MIN_SAMPLES
+    whole = []
+    fill = transport._fill_nearest
+
+    def counting(weights, keys, demand):
+        whole.append(weights.size)
+        return fill(weights, keys, demand)
+
+    monkeypatch.setattr(transport, "_fill_nearest", counting)
+    result = run(scenario)
+    claims = 2 * len(result.records)  # a selection and an update per agent-step
+    assert len(result.records) == 60
+    assert len(whole) < 0.1 * claims
+
+
 # ------------------------------------------------------------------ validation
 
 def test_scenario_alignment_checks():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from dpcover.errors import ExhaustionError, InputError
 from dpcover.linalg import solve_transport_exact
-from dpcover.transport import (_PREFIX, WEIGHT_SNAP, LocalSelection,
-                               _fill_nearest, _reduce_cloud, _squared_distances,
-                               global_wasserstein, local_wasserstein,
+from dpcover.transport import (_PREFIX, GRID_MIN_SAMPLES, WEIGHT_SNAP, CloudGrid,
+                               LocalSelection, _fill_nearest, _reduce_cloud,
+                               _squared_distances, global_wasserstein, local_wasserstein,
                                select_local_samples, weight_update)
 
 
@@ -515,3 +515,116 @@ def test_fill_nearest_matches_full_stable_sort(n, key_kind, demand_kind, spent,
     assert exhausted == want_exhausted == (demand_kind == "above_total")
     if demand_kind == "deep" and n_live > DEEP:
         assert idx.size > DEEP
+
+
+# ------------------------------------------------------------------ cloud grid
+
+def test_cloud_grid_is_csr_over_about_two_samples_a_cell(rng):
+    positions = rng.normal(0.0, 10.0, size=(GRID_MIN_SAMPLES + 500, 2))
+    grid = CloudGrid(positions)
+    n = positions.shape[0]
+    assert np.array_equal(np.sort(grid.order), np.arange(n))
+    assert grid.starts[0] == 0 and grid.starts[-1] == n
+    assert len(grid.starts) - 1 == grid.nx * grid.ny <= 2 * n
+    for c in range(grid.nx * grid.ny):
+        cell = grid.order[grid.starts[c]:grid.starts[c + 1]]
+        assert np.all(np.diff(cell) > 0)
+        ix, iy = c % grid.nx, c // grid.nx
+        assert np.all(positions[cell, 0] >= grid.x_before[ix])
+        assert np.all(positions[cell, 1] <= grid.y_after[iy])
+    small = CloudGrid(positions[:GRID_MIN_SAMPLES - 1])
+    assert small.order is None
+    assert small.positions.tobytes() == positions[:GRID_MIN_SAMPLES - 1].tobytes()
+
+
+@pytest.mark.parametrize("positions", [np.zeros((5, 3)), np.zeros(4),
+                                       np.array([[0.0, np.nan]] * GRID_MIN_SAMPLES)])
+def test_cloud_grid_rejects_positions_not_finite_n_by_2(positions):
+    with pytest.raises(InputError, match="positions must be"):
+        CloudGrid(positions)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (ExhaustionError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(result):
+    """A selection, a plan or an error as comparable bytes."""
+    if isinstance(result, tuple):
+        return result
+    if isinstance(result, LocalSelection):
+        return (result.indices.tobytes(), result.taken.tobytes(), result.points.tobytes(),
+                result.mass_center.tobytes(), result.exhausted)
+    return result.indices.tobytes(), result.gammas.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from([GRID_MIN_SAMPLES, 3001]),
+       st.sampled_from(["uniform", "clusters", "duplicates", "collinear", "identical"]),
+       st.sampled_from(["fresh", "spent", "partial", "outlier", "claimed", "empty"]),
+       st.sampled_from(["inside", "lattice", "outside", "far"]),
+       st.sampled_from(["one", "few", "boundary", "many", "total", "beyond"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(GRID_MIN_SAMPLES, "duplicates", "fresh", "lattice", "boundary", 12)
+@example(GRID_MIN_SAMPLES, "duplicates", "partial", "lattice", "boundary", 4)
+@example(3001, "duplicates", "partial", "lattice", "boundary", 26)
+@example(3001, "clusters", "claimed", "inside", "one", 1)
+@example(3001, "uniform", "outlier", "inside", "few", 2)
+@example(GRID_MIN_SAMPLES, "collinear", "partial", "outside", "many", 3)
+@example(GRID_MIN_SAMPLES, "identical", "spent", "far", "beyond", 4)
+@example(3001, "uniform", "claimed", "far", "total", 5)
+@example(GRID_MIN_SAMPLES, "uniform", "empty", "inside", "one", 6)
+def test_grid_claims_equal_whole_cloud_fills(n, layout, state, where, demand_kind, seed):
+    """A claim through the cloud's CloudGrid returns the bits, or raises the
+    error, of the same claim ranked over the whole cloud (a plain array).
+    The "duplicates" "lattice" "boundary" examples put a sample outside the
+    first block on a key equal to its bound, where a claim that ranked it
+    after an equal key inside the block would take the wrong sample."""
+    rng = np.random.default_rng(seed)
+    positions = {"uniform": lambda: rng.uniform(-50.0, 50.0, size=(n, 2)),
+                 "clusters": lambda: (rng.normal(0.0, 2.0, size=(n, 2))
+                                      + rng.choice([-30.0, 0.0, 30.0], size=(n, 2))),
+                 # few distinct points: most keys tie
+                 "duplicates": lambda: rng.integers(-5, 6, size=(n, 2)).astype(float),
+                 "collinear": lambda: np.column_stack([rng.uniform(-50.0, 50.0, n),
+                                                       np.full(n, 2.5)]),
+                 "identical": lambda: np.tile([1.5, -2.0], (n, 1))}[layout]()
+    weights = np.full(n, 1.0 / n)
+    if state == "spent":
+        weights[rng.random(n) < 0.7] = 0.0
+    elif state == "partial":
+        weights *= rng.choice([0.0, 1e-3, 0.5, 1.0], size=n)
+    elif state == "outlier":
+        weights[rng.integers(n)] = 200.0 / n
+    elif state == "claimed":  # holes where earlier claims emptied the cloud
+        for _ in range(40):
+            plan = weight_update(positions, weights, rng.uniform(-40.0, 40.0, 2),
+                                 float(rng.uniform(1.0, 30.0)) / n)
+            weights[plan.indices] -= plan.gammas
+    elif state == "empty":
+        weights[:] = 0.0
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+    # a lattice centre ties the keys of "duplicates" samples in different
+    # cells, and puts some exactly on a block's bound
+    centre = {"inside": lambda: rng.uniform(lo, hi),
+              "lattice": lambda: rng.integers(-5, 6, size=2).astype(float),
+              "outside": lambda: hi + rng.uniform(1.0, 20.0, 2),
+              "far": lambda: np.array([1e6, -3e5])}[where]()
+    # "boundary" ends the update's claim at the edge of a group of tied keys
+    live = np.flatnonzero(weights > 0)
+    d2 = _squared_distances(positions[live], centre)
+    cum = np.cumsum(weights[live[np.argsort(d2, kind="stable")]])
+    total = float(weights.sum())
+    demand = {"one": lambda: 0.5 / n, "few": lambda: float(rng.uniform(1.0, 20.0)) / n,
+              "boundary": lambda: float(cum[rng.integers(cum.size)]),
+              "many": lambda: 0.3 * total, "total": lambda: total,
+              "beyond": lambda: 1.5 * total}[demand_kind]() if live.size else 1.0 / n
+    grid = CloudGrid(positions)
+    assert grid.order is not None
+    for claim in (lambda p: select_local_samples(weights, p, centre, demand),
+                  lambda p: weight_update(p, weights, centre, demand)):
+        assert _bits(_outcome(lambda: claim(grid))) == _bits(_outcome(lambda: claim(positions)))
