@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_count
+from .errors import InputError, check_count, check_extent
 
 MAX_DRAWS_PER_SAMPLE = 1000  # rejection-sampling budget per requested sample
 
@@ -32,6 +32,7 @@ class SampleCloud:
             raise InputError("weights length must match positions")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
             raise InputError("non-finite values in cloud")
+        check_extent(pos)
         if np.any(w < 0):
             raise InputError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:

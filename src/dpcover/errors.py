@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one count check and
-the one small-vector finiteness check."""
+"""Exception types shared across the package, the one count check, the
+one small-vector finiteness check and the one cloud-extent check."""
 
 import math
 
@@ -47,3 +47,16 @@ def check_finite(value, size: int, name: str) -> np.ndarray:
         if all(map(math.isfinite, v.tolist())):
             return v
     raise InputError(f"{name} must be finite, with {size} entries, got {v}")
+
+
+def check_extent(positions) -> None:
+    """InputError unless the finite (N, 2) positions lie in a bounding box
+    whose squared diagonal is finite, so that no squared distance between
+    two of them overflows. In Python floats: an overflow is inf, not a
+    RuntimeWarning."""
+    if positions.shape[0] == 0:
+        return
+    (x0, y0), (x1, y1) = positions.min(axis=0).tolist(), positions.max(axis=0).tolist()
+    dx, dy = x1 - x0, y1 - y0
+    if not math.isfinite(dx * dx + dy * dy):
+        raise InputError("positions must be in a bounding box of finite squared diagonal")

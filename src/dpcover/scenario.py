@@ -54,7 +54,9 @@ def _build_system(spec: dict, where: str) -> LtiSystem:
     if isinstance(spec, dict) and "preset" in spec:
         _check_keys(spec, {"preset", "dt", "params"}, {"preset", "dt"}, where)
         dt, params = _real(spec["dt"], f"{where}.dt"), spec.get("params")
-        if isinstance(params, dict):
+        if params is not None:
+            if not isinstance(params, dict):
+                raise ScenarioError(f"{where}.params must be an object")
             params = {k: _real(v, f"{where}.params.{k}") for k, v in params.items()}
         try:
             return make_preset(spec["preset"], dt, params)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustionError, InputError, check_count, check_finite
+from .errors import ExhaustionError, InputError, check_count, check_extent, check_finite
 from .linalg import TRANSPORT_SIZE_CAP, solve_transport_exact
 
 
@@ -48,10 +48,6 @@ class TransportPlan:
 # no weight is left below this but above 0: "weight > 0" is roundoff-stable
 WEIGHT_SNAP = 1e-12
 
-# keys _fill_nearest ranks first; a claim of alpha takes a few samples (at
-# most 16 in the benchmark workloads)
-_PREFIX = 64
-
 # clouds below this size get no grid: at 600 samples a whole-cloud fill
 # costs what a grid query does
 GRID_MIN_SAMPLES = 2048
@@ -66,26 +62,12 @@ def _fill_nearest(weights, keys, demand: float):
     """(indices, taken, exhausted): the live samples (weight > 0) in
     ascending key, ties by index, each taken whole and the last partially
     until demand is met, or all of them whole (exhausted) when they hold
-    less than demand; ExhaustionError if none is live. A spent sample is
-    keyed NaN, which numpy ranks after every live key, +inf included.
-
-    Only a tie-closed prefix is ranked: every key <= the k-th smallest
-    (np.partition) is exactly the head of the full stable order, so the
-    result equals that of the full stable argsort bit for bit. k =
-    min(_PREFIX, live count), grown once to the live count (the whole live
-    set) when that prefix holds less than demand.
-    """
-    live = weights > 0
-    n_live = np.count_nonzero(live)
-    if n_live == 0:
+    less than demand; ExhaustionError if none is live. A spent sample's
+    key is never read."""
+    live = np.flatnonzero(weights > 0)
+    if live.size == 0:
         raise ExhaustionError("all sample-point weights are zero")
-    keys = np.where(live, keys, np.nan)
-    for k in (min(_PREFIX, n_live), n_live):
-        head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
-        idx, taken, exhausted = _take(weights, keys, head, demand)
-        if not exhausted or head.size >= n_live:
-            break
-    return idx, taken, exhausted
+    return _take(weights, keys, live, demand)
 
 
 def _take(weights, keys, head, demand: float):
@@ -118,7 +100,8 @@ class CloudGrid:
     a sample in its cell: `x_before[i]` is the largest x in the columns
     before column i (-inf when none) and `x_after[i]` the smallest x in the
     columns after it (+inf when none), and likewise `y_before`, `y_after`
-    over the rows. InputError unless positions are finite (N, 2) values.
+    over the rows. InputError unless positions are finite (N, 2) values
+    whose bounding box has a finite squared diagonal.
     """
 
     def __init__(self, positions):
@@ -127,6 +110,7 @@ class CloudGrid:
             raise InputError(f"positions must be (N, 2), got {positions.shape}")
         if not np.all(np.isfinite(positions)):
             raise InputError("positions must be finite")
+        check_extent(positions)
         # C order: a block gathers whole rows (take on a Fortran array is slow)
         self.positions = np.ascontiguousarray(positions)
         self.order = None

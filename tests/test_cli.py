@@ -609,3 +609,19 @@ def test_run_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, content, ex
     assert not out.exists()
     if not extra:
         assert run_cli("validate", "--scenario", path) == 1
+
+
+def test_reference_whose_extent_overflows_is_an_error_not_a_traceback(tmp_path, capsys):
+    """Every position is finite, but (1e200 - -1e200)**2 is not."""
+    rows = [[1e200, 1e200], [-1e200, -1e200]] + [[0.01 * i, 0.0] for i in range(2046)]
+    (tmp_path / "ref.csv").write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(first_order_doc(reference={"file": "ref.csv"})))
+    assert run_cli("validate", "--scenario", path) == 1
+    assert "reference file: positions must be in a bounding box" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: reference file: positions must be in a bounding box")
+    assert "Traceback" not in err
+    assert not out.exists()

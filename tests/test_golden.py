@@ -8,7 +8,7 @@ the digests show that the pinned bytes cover steps where an input
 constraint binds, and (for the quadrotor) where the state bounds clamp.
 Three polytopes are boxes centred at 0; the triangle's Chebyshev centre is
 (0.268, -0.232), so its active set starts away from the origin. The desk
-runs end with fewer than 64 samples left in a weight vector; the
+runs rank their whole 600-sample cloud on every claim; the
 default-scenario run ranks a 5 975-sample cloud for three agents. The
 limited-range run is unconstrained, and its two agents come within
 d_comm on some steps only, so the check beside its digests sees steps

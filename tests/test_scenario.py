@@ -313,6 +313,11 @@ def _quadrotor_doc(**params):
     _with(("system",), {"A": [[True, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
                         "C": [[1.0, 0.0], [0.0, 1.0]], "dt": 0.5}),
     _quadrotor_doc(tau_max=True),
+    # params is a JSON object: a list of pairs would skip the number checks
+    _with(("system", "params"), [["g", True]], _quadrotor_doc()),
+    _with(("system", "params"), [["tau_max", "7"]], _quadrotor_doc()),
+    _with(("system", "params"), [], _quadrotor_doc()),
+    _with(("system", "params"), "ab", _quadrotor_doc()),
     _with(("agents", 0, "initial_state"), [True, 1.0]),
     _with(("reference", "mixture", "components", 0, "mean"), [True, 5.0]),
     _with(("reference", "mixture", "components", 0, "cov"), [[2.0, 0.0], [0.0, True]]),
@@ -333,7 +338,8 @@ def _quadrotor_doc(**params):
         "cov-asymmetric", "cov-upper-null", "weight-bool", "cu-null", "du-null",
         "polytope-empty", "quadrotor-tau-max-negative",
         "quadrotor-inertia-negative", "version-bool", "dt-bool", "dt-nan",
-        "dt-inf", "matrix-bool", "quadrotor-tau-max-bool", "initial-state-bool",
+        "dt-inf", "matrix-bool", "quadrotor-tau-max-bool", "params-pairs-bool",
+        "params-pairs-str", "params-empty-list", "params-str", "initial-state-bool",
         "mean-bool", "cov-bool", "domain-bool", "domain-inf", "d-comm-bool",
         "d-comm-inf", "comm-unknown-key", "u-max-bool", "cu-bool", "du-bool"])
 def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
