@@ -22,7 +22,7 @@ from . import controller, coordination, dynamics, linalg, transport
 from .coordination import CommConfig
 from .distribution import SampleCloud, agent_alpha
 from .dynamics import LtiSystem
-from .errors import InputError, check_count
+from .errors import InputError, check_count, check_extent
 
 REMAINING_MASS_EPS = 1e-9
 
@@ -31,7 +31,9 @@ REMAINING_MASS_EPS = 1e-9
 class Scenario:
     """Everything needed for one deterministic run. An agent's input set is
     its system's `input_bounds` (None: unconstrained). Construction is the
-    one check of each agent's initial_state length and budget M."""
+    one check of each agent's initial_state length and budget M, and of
+    its initial output C x0 lying with the reference positions in a box of
+    finite squared diagonal, so no W2 or gain cost overflows."""
 
     systems: list[LtiSystem]          # one per agent
     initial_states: list[np.ndarray]  # (n_r,) each
@@ -50,6 +52,8 @@ class Scenario:
         check_count(self.global_w_cap, "global_w_cap", 1)
         if self.global_w_cap > linalg.TRANSPORT_SIZE_CAP:
             raise InputError(f"global_w_cap must be in 1..{linalg.TRANSPORT_SIZE_CAP}")
+        positions = self.cloud.positions
+        box = np.vstack([positions.min(axis=0), positions.max(axis=0)])
         for i, (sys, x0, m) in enumerate(zip(self.systems, self.initial_states,
                                              self.budgets)):
             check_count(m, f"agents[{i}]: M", 1)
@@ -59,6 +63,13 @@ class Scenario:
                                  f"its system needs ({sys.n},)")
             if sys.p != 2:
                 raise InputError(f"agents[{i}]: outputs must be planar (p = 2)")
+            y0 = dynamics.output(sys, x0)
+            try:
+                check_extent(np.vstack([box, y0]))
+            except InputError:
+                raise InputError(f"agents[{i}]: the initial output C x0 and the reference "
+                                 "positions must be in a bounding box of finite "
+                                 "squared diagonal") from None
 
 
 @dataclass

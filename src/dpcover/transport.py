@@ -288,9 +288,9 @@ def _reduce_cloud(points, weights, cap: int) -> tuple[np.ndarray, np.ndarray, bo
     points dropped; a cloud still above cap points is subsampled to cap
     points of equal weight 1/cap, read off the cumulative weights at the
     fixed comb (0.5 + i) / cap, i = 0 .. cap - 1. The weights are then
-    rescaled to sum to 1, so two reduced clouds balance exactly for the
-    LP. InputError unless the cloud is nonempty finite (N, 2) points with
-    N nonnegative weights of positive, finite sum.
+    rescaled to sum to 1, so two reduced clouds balance exactly for
+    solve_transport_exact. InputError unless the cloud is nonempty finite
+    (N, 2) points with N nonnegative weights of positive, finite sum.
     """
     points, weights, _ = _as_cloud(points, weights)
     if points.shape[0] == 0:

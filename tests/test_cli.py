@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +610,22 @@ def test_run_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, content, ex
     assert not out.exists()
     if not extra:
         assert run_cli("validate", "--scenario", path) == 1
+
+
+def test_initial_state_whose_extent_overflows_is_an_error_not_a_warning(tmp_path, capsys):
+    """A finite initial output 1e200 away from the reference would overflow
+    the first squared distance: validate rejects it and names the agent."""
+    doc = json.loads((SCENARIO_DIR / "first_order_desk.json").read_text())
+    doc["agents"][0]["initial_state"] = [1e200, 1e200]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("validate", "--scenario", path) in (1, 2)
+    err = capsys.readouterr().err
+    assert "agents[0]: the initial output C x0" in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_reference_whose_extent_overflows_is_an_error_not_a_traceback(tmp_path, capsys):

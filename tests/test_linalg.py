@@ -1,19 +1,24 @@
-"""Numeric kernels: pseudoinverse, input polytope, PSD QP, exact transport LP.
+"""Numeric kernels: pseudoinverse, input polytope, PSD QP, exact transport.
 
 The QP cases are checked against dense grid searches and the transport
 solver against an exhaustive basis enumeration (small sizes) plus an LP
 dual certificate (larger sizes), so no assertion trusts the solver alone.
+The assignment branch (equal sizes, one mass value) is checked against
+the HiGHS LP it replaces, bit for bit, and against the enumeration.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpcover import linalg
 from dpcover.controller import GainTerms
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (InputPolytope, _chebyshev_centre, pseudo_inverse,
-                            solve_psd_qp, solve_transport_exact)
+from dpcover.linalg import (InputPolytope, _chebyshev_centre, _transport_lp,
+                            pseudo_inverse, solve_psd_qp, solve_transport_exact)
 
 
 # ---------------------------------------------------------------- pseudoinverse
@@ -304,11 +309,20 @@ def test_transport_line_instance():
                  id="cost-shape"),
     pytest.param([[0.5], [0.5]], [1.0], [[1.0], [2.0]], InputError, "1-D and cost",
                  id="2-d-mass"),
+    pytest.param([], [], np.zeros((0, 0)), InputError, "nonempty, 1-D and cost",
+                 id="empty-masses"),
     pytest.param([1.0], [1.0], [[np.inf]], InputError, "cost contains non-finite",
                  id="nonfinite-cost"),
     pytest.param([1.0], [0.5], [[1.0]], InputError, "not balanced", id="unbalanced"),
     pytest.param(np.ones(501) / 501, [1.0], np.ones((501, 1)), SizeError,
                  "501x1 exceeds the 500 cap", id="size-cap"),
+    # equal sizes with one mass value: the checks still come before the dispatch
+    pytest.param(np.full(501, 1 / 501), np.full(501, 1 / 501), np.ones((501, 501)),
+                 SizeError, "501x501 exceeds the 500 cap", id="equal-uniform-size-cap"),
+    pytest.param([0.5, 0.5], [0.5, 0.5], [[1.0, np.inf], [2.0, 0.0]], InputError,
+                 "cost contains non-finite", id="equal-uniform-nonfinite-cost"),
+    pytest.param([[0.5], [0.5]], [[0.5], [0.5]], np.ones((2, 2)), InputError,
+                 "1-D and cost", id="equal-uniform-2-d-masses"),
 ])
 def test_transport_rejects_bad_input(supply, demand, cost, error, message):
     """Each check of the solver's arrays, and the size cap, by its message."""
@@ -418,6 +432,93 @@ def test_transport_dual_certificate_larger(rng):
             checked += 1
             assert cert
     assert checked >= 100  # degenerate supports should be rare for generic masses
+
+
+def equal_uniform(seed, n, duplicates=False):
+    """(mass, cost): two clouds of n random planar points, each point of
+    mass 1/n, and their squared-distance cost. With duplicates, each cloud
+    repeats its first ceil(n / 2) points, so optimal plans tie."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, n, 2)) * 3.0
+    if duplicates:
+        half = (n + 1) // 2
+        a, b = a[np.arange(n) % half], b[np.arange(n) % half]
+    cost = np.sum((b - a[:, None, :]) ** 2, axis=2)
+    return np.full(n, 1.0 / n), cost
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=60),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_assignment_plan_is_the_lp_plan_bit_for_bit(n, seed):
+    """Distinct points, one mass value: the assignment branch returns the
+    LP's plan and total exactly."""
+    mass, cost = equal_uniform(seed, n)
+    plan, total = solve_transport_exact(mass, mass, cost)
+    lp_plan = _transport_lp(mass, mass, cost)
+    assert np.array_equal(plan, lp_plan)
+    assert total == float(np.sum(lp_plan * cost))
+
+
+def test_assignment_matches_enumeration_oracle():
+    for seed in range(40):
+        n = seed % 4 + 1
+        mass, cost = equal_uniform(seed, n)
+        _, got = solve_transport_exact(mass, mass, cost)
+        assert got == pytest.approx(enumerate_transport_optimum(mass, mass, cost),
+                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_assignment_with_ties_matches_the_lp_optimum(n):
+    """Duplicated points make several plans optimal: the branch may pick a
+    different one from the LP's, at the same total."""
+    mass, cost = equal_uniform(n, n, duplicates=True)
+    plan, total = solve_transport_exact(mass, mass, cost)
+    assert np.array_equal(np.sort(plan, axis=None)[-n:], mass)
+    assert np.count_nonzero(plan) == n
+    lp_plan = _transport_lp(mass, mass, cost)
+    assert total == pytest.approx(float(np.sum(lp_plan * cost)), rel=1e-12)
+    if n <= 4:
+        assert total == pytest.approx(enumerate_transport_optimum(mass, mass, cost),
+                                      rel=1e-12)
+
+
+def _third():
+    return np.full(3, 1.0 / 3)
+
+
+def _ulp_off():
+    off = _third()
+    off[1] = np.nextafter(off[1], 1.0)
+    return off
+
+
+@pytest.mark.parametrize("supply, demand, lp_calls", [
+    pytest.param(_third(), _third(), 0, id="equal-uniform"),
+    pytest.param(np.zeros(3), np.zeros(3), 0, id="equal-uniform-zero"),
+    pytest.param(_third(), _ulp_off(), 1, id="one-weight-an-ulp-off"),
+    pytest.param(_ulp_off(), _third(), 1, id="one-supply-weight-an-ulp-off"),
+    pytest.param(_third(), np.full(3, np.nextafter(1.0 / 3, 1.0)), 1,
+                 id="supply-value-differs-from-demand-value"),
+    pytest.param(_third(), np.full(2, 0.5), 1, id="unequal-sizes"),
+])
+def test_transport_dispatch_rule(monkeypatch, supply, demand, lp_calls):
+    """Only equal sizes with one mass value in both skip the LP; the test
+    is ==, so one ulp sends an instance to the LP."""
+    calls, linprog = [], linalg.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "linprog", counting)
+    rng = np.random.default_rng(5)
+    cost = rng.random((supply.size, demand.size))
+    plan, _ = solve_transport_exact(supply, demand, cost)
+    assert len(calls) == lp_calls
+    assert np.allclose(plan.sum(axis=1), supply, atol=1e-12)
+    assert np.allclose(plan.sum(axis=0), demand, atol=1e-12)
 
 
 # ------------------------------------------------------------- W2 as a metric
