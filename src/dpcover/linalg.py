@@ -4,8 +4,9 @@ Everything here operates on problems of modest size (inputs of a few
 dimensions, transport instances capped at 500x500) and favors exactness
 and determinism over speed. Exact transport has one dispatch rule: equal
 sizes with one mass value go to the assignment solver, whose plan
-matched the LP's bit for bit in every reference run; every other
-instance goes to the HiGHS LP.
+matched the HiGHS LP's bit for bit in every reference run; every other
+instance goes to the transportation simplex. The LP stays as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -219,8 +220,11 @@ def solve_transport_exact(supply, demand, cost) -> tuple[np.ndarray, float]:
     one mass value in both supply and demand (compared with ==, no
     tolerance) have a permutation as an optimal plan (Birkhoff), which
     linear_sum_assignment finds; in every reference run that plan equalled
-    the LP's bit for bit. Every other instance goes to the HiGHS LP. Both
-    sum the dense plan times the cost the same way.
+    the HiGHS LP's bit for bit. Every other instance goes to the
+    transportation simplex, with the demand first scaled to the supply's
+    total where the two totals differ (or, with no demand mass, the supply
+    zeroed), so every instance that passes the balance check is solvable.
+    Both sum the dense plan times the cost the same way.
     """
     supply = np.atleast_1d(np.asarray(supply, dtype=float))
     demand = np.atleast_1d(np.asarray(demand, dtype=float))
@@ -233,7 +237,8 @@ def solve_transport_exact(supply, demand, cost) -> tuple[np.ndarray, float]:
         raise InputError("masses must be nonnegative")
     if not (np.all(np.isfinite(supply)) and np.all(np.isfinite(demand))):
         raise InputError("non-finite masses")
-    if abs(supply.sum() - demand.sum()) > 1e-9:
+    total_s, total_d = supply.sum(), demand.sum()
+    if abs(total_s - total_d) > 1e-9:
         raise InputError("supply and demand masses are not balanced")
     n_s, n_d = cost.shape
     if n_s > TRANSPORT_SIZE_CAP or n_d > TRANSPORT_SIZE_CAP:
@@ -245,13 +250,219 @@ def solve_transport_exact(supply, demand, cost) -> tuple[np.ndarray, float]:
         plan = np.zeros((n_s, n_d))
         plan[rows, cols] = supply[rows]
     else:
-        plan = _transport_lp(supply, demand, cost)
+        if total_s != total_d:
+            if total_d > 0:
+                demand = demand * (total_s / total_d)
+            else:
+                supply = np.zeros(n_s)
+        plan = _transport_simplex(supply, demand, cost)
     return plan, float(np.sum(plan * cost))
+
+
+# pivots priced on the candidate cells between two full pricing passes
+_CANDIDATE_PIVOTS = 10
+
+
+def _transport_simplex(supply, demand, cost) -> np.ndarray:
+    """The optimal plan of the checked, balanced transport instance, by the
+    transportation (network) simplex (Peyre & Cuturi, Computational Optimal
+    Transport, 2019, section 3.5), clipped at 0.
+
+    Rows and columns of zero mass carry no flow and are dropped. The basis
+    is a spanning tree over the remaining rows and columns, rooted at the
+    first row, with potentials pi: u_i for row i, -v_j for column j (node
+    n + j), so the reduced cost of cell (i, j) is c_ij - pi_i + pi_(n+j).
+    It starts from the greedy least-cost basis of the masses perturbed by
+    eps (see _greedy_tree), which makes it strongly feasible: every
+    zero-flow arc of the tree points toward the root. Cunningham's leaving
+    rule (the last blocking arc of the cycle, walked from its apex in the
+    direction of the entering flow) keeps it so, and so degenerate pivots
+    cannot cycle; a guard of n*m + 10(n + m) pricing passes raises
+    InputError all the same.
+
+    A full pass prices every cell and keeps each row's most negative cell
+    as a candidate; the next pivots re-price only the candidates, at most
+    _CANDIDATE_PIVOTS of them before the next full pass. A cell enters
+    while its reduced cost is below -1e-12 * (1 + |c_ij|), and the run
+    ends when a full pass finds none. After a pivot only the subtree cut
+    off by the leaving arc gets new depths and potentials, each derived
+    from its parent's, so the potentials are a function of the tree.
+    The returned flows are recomputed from the final tree by leaf
+    elimination from the masses, so they depend on the optimal basis
+    alone and not on rounding accumulated over pivots.
+    """
+    plan = np.zeros(cost.shape)
+    rows, cols = np.flatnonzero(supply > 0), np.flatnonzero(demand > 0)
+    if rows.size == 0 or cols.size == 0:
+        return plan
+    c = cost[np.ix_(rows, cols)]
+    n, m = c.shape
+    mass = supply[rows].tolist() + demand[cols].tolist()
+    parent, depth, children = _greedy_tree(mass, c)
+    cl = c.tolist()
+
+    def potential(v: int) -> float:
+        p = parent[v]
+        return cl[v][p - n] + pi[p] if v < n else pi[p] - cl[p][v - n]
+
+    pi = [0.0] * (n + m)
+    for v in sorted(range(1, n + m), key=depth.__getitem__):
+        pi[v] = potential(v)
+    flow = _tree_flows(parent, depth, mass)
+
+    shifted = c + 1e-12 * (1.0 + np.abs(c))  # the entering test as "< 0"
+    reduced = np.empty_like(c)
+    cand_i = cand_j = np.zeros(0, dtype=int)
+    cand_pivots = 0
+    for _ in range(n * m + 10 * (n + m)):
+        P = np.array(pi)
+        cell = None
+        if cand_pivots < _CANDIDATE_PIVOTS and cand_i.size:
+            price = shifted[cand_i, cand_j] - P[cand_i] + P[n + cand_j]
+            best = int(price.argmin())
+            if price[best] < 0.0:
+                cell, cand_pivots = (int(cand_i[best]), int(cand_j[best])), cand_pivots + 1
+        if cell is None:
+            np.subtract(shifted, P[:n, None], out=reduced)
+            reduced += P[n:]
+            row_best = reduced.argmin(axis=1)
+            row_price = reduced[np.arange(n), row_best]
+            cand_i = np.flatnonzero(row_price < 0.0)
+            if cand_i.size == 0:
+                break
+            cand_j, cand_pivots = row_best[cand_i], 0
+            best = int(row_price[cand_i].argmin())
+            cell = (int(cand_i[best]), int(cand_j[best]))
+
+        # the cycle: the tree paths from k (row) and l (column) up to their apex
+        k, l = cell[0], n + cell[1]
+        k_path, l_path = [], []
+        a, b = k, l
+        while a != b:
+            if depth[a] >= depth[b]:
+                k_path.append(a)
+                a = parent[a]
+            else:
+                l_path.append(b)
+                b = parent[b]
+        # flow falls on the arcs of the rows of k_path and the columns of
+        # l_path: every other node from the start. Cunningham: the leaving
+        # arc is the blocking arc nearest the apex on the l side, else the
+        # one nearest k on the k side.
+        theta_k, leave_k = np.inf, -1
+        for s in range(0, len(k_path), 2):
+            if flow[k_path[s]] < theta_k:
+                theta_k, leave_k = flow[k_path[s]], s
+        theta_l, leave_l = np.inf, -1
+        for s in range(0, len(l_path), 2):
+            if flow[l_path[s]] <= theta_l:
+                theta_l, leave_l = flow[l_path[s]], s
+        if theta_l <= theta_k:
+            theta, path, q, e, f = theta_l, l_path, leave_l, l, k
+        else:
+            theta, path, q, e, f = theta_k, k_path, leave_k, k, l
+        theta = max(theta, 0.0)
+        if theta > 0.0:
+            for side in (k_path, l_path):
+                for s, v in enumerate(side):
+                    flow[v] += theta if s % 2 else -theta
+
+        # drop the arc above path[q], reverse the path e .. path[q] and hang
+        # it from f by the entering arc
+        children[parent[path[q]]].remove(path[q])
+        for s in range(q, 0, -1):
+            v, w = path[s], path[s - 1]
+            children[v].remove(w)
+            children[w].append(v)
+            parent[v], flow[v] = w, flow[w]
+        parent[e], flow[e] = f, theta
+        children[f].append(e)
+        stack = [e]
+        while stack:
+            v = stack.pop()
+            depth[v] = depth[parent[v]] + 1
+            pi[v] = potential(v)
+            stack.extend(children[v])
+    else:
+        raise InputError("transport simplex iteration limit exceeded")
+
+    flow = _tree_flows(parent, depth, mass)
+    node = np.arange(1, n + m)  # every node but the root has a parent arc
+    up = np.array(parent[1:])
+    is_row = node < n
+    i = np.where(is_row, node, up)
+    j = np.where(is_row, up, node) - n
+    plan[rows[i], cols[j]] = np.maximum(np.array(flow[1:]), 0.0)
+    return plan
+
+
+def _greedy_tree(mass: list, c: np.ndarray) -> tuple[list, list, list]:
+    """(parent, depth, children) of the least-cost basis of the positive
+    masses (n rows, then m columns) at the (n, m) cost c, rooted at row 0.
+
+    Cells are taken in order of cost (stable), skipping closed rows and
+    columns; each closes its row or its column, whichever has less mass
+    left, so n + m - 1 cells form a spanning tree. Masses are compared as
+    (value, eps coefficient): +eps for each row but row 0, -eps for each
+    column and -(n + m - 1) eps for row 0. No cell but the last then
+    empties its row and column at once, and every arc of zero flow points
+    toward row 0: the tree is strongly feasible.
+    """
+    n, m = c.shape
+    N = n + m
+    left = [(x, 1) for x in mass[:n]] + [(x, -1) for x in mass[n:]]
+    left[0] = (mass[0], 1 - N)
+    open_rows, open_cols = n, m
+    closed = [False] * N
+    adjacent = [[] for _ in range(N)]
+    taken = 0
+    for cell in np.argsort(c, axis=None, kind="stable").tolist():
+        if taken == N - 1:
+            break
+        i, j = divmod(cell, m)
+        a, b = i, n + j
+        if closed[a] or closed[b]:
+            continue
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+        taken += 1
+        (xa, ea), (xb, eb) = left[a], left[b]
+        if ((xa, ea) <= (xb, eb) and open_rows > 1) or open_cols == 1:
+            closed[a], left[b], open_rows = True, (xb - xa, eb - ea), open_rows - 1
+        else:
+            closed[b], left[a], open_cols = True, (xa - xb, ea - eb), open_cols - 1
+    parent, depth = [-1] * N, [0] * N
+    children = [[] for _ in range(N)]
+    order = [0]
+    for v in order:  # breadth first from row 0
+        for w in adjacent[v]:
+            if w != parent[v]:
+                parent[w], depth[w] = v, depth[v] + 1
+                children[v].append(w)
+                order.append(w)
+    return parent, depth, children
+
+
+def _tree_flows(parent: list, depth: list, mass: list) -> list:
+    """Flow on the arc from each node to its parent (0.0 at the root),
+    by leaf elimination: deepest nodes first (ties by index), each passes
+    the mass it has left to its parent. A row's left-over supply goes up
+    to its column parent; a column's unmet demand comes from its row
+    parent."""
+    left = list(mass)
+    flow = [0.0] * len(mass)
+    for v in sorted(range(len(mass)), key=depth.__getitem__, reverse=True):
+        p = parent[v]
+        if p >= 0:
+            flow[v] = left[v]
+            left[p] -= left[v]
+    return flow
 
 
 def _transport_lp(supply, demand, cost) -> np.ndarray:
     """The optimal plan of the checked, balanced transport instance, by
-    HiGHS with 1e-10 feasibility tolerances, clipped at 0."""
+    HiGHS with 1e-10 feasibility tolerances, clipped at 0. The tests'
+    oracle for _transport_simplex."""
     n_s, n_d = cost.shape
     A_eq = sparse.vstack([
         sparse.kron(sparse.eye(n_s), np.ones((1, n_d))),

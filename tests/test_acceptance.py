@@ -279,8 +279,9 @@ def test_criterion_10_scalability(announce, monkeypatch):
     agent-step of each size over all its steps in that repetition. The
     repetition's spread is max/min over the sizes; the gate is the median
     spread over seven repetitions. After the warm-up the final global W2
-    is stubbed: it is outside the measured stages, and its LP (about 9 s
-    at size 8) would otherwise stretch one repetition over seconds of
+    is stubbed: it is outside the measured stages, and its 480x500
+    transport solve (0.6-0.75 s of the 0.7-0.85 s warm-up run at size 8,
+    on a 2-vCPU host) would otherwise stretch each repetition over more
     host drift."""
     sizes = (1, 2, 4, 8)
     run(_timing_scenario(sizes[-1]))  # warmup: imports, caches, allocator

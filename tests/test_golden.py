@@ -63,7 +63,7 @@ GOLDEN = {
         _cut("first_order_desk.json", input_constraints={"u_max": 1.0}), _box(1.0), {
             "trajectories.csv": "eac1720740e733216e09c52f9fcbd187212f179497c0a9b9b9dd8100fb7fc3a6",
             "metrics.csv": "277380935a713fc04b7139d2af3041f8f46d7d52e219d85a0dd6c654cdc8c257",
-            "global_w.csv": "a90c4f5f099bd21ef68d64f131d2cd0bbf35457cbb548d1bce6e640432626fa5",
+            "global_w.csv": "9d6856c18049f672b73de99ca1786d79d4c35e87ba93b13652b6658b1621c7f0",
             "gains.csv": "8163a43f328ff37ce0b585f5c0301235746c3490c7b7c05e515db95dae16ab19",
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
         }),
@@ -72,7 +72,7 @@ GOLDEN = {
         (TRIANGLE["Cu"], TRIANGLE["Du"]), {
             "trajectories.csv": "1a8caf64289039ef441fec92eb59e8b5faec034dd103910220acaddd5226005e",
             "metrics.csv": "3247b282afb999ae4ba8fe4eabe5fe1d1624d457f747d1c86048e4ff8bae1fb7",
-            "global_w.csv": "68df338dd92705221e33889fe8c02def5263bb28cfbad7caefabda43f3a77538",
+            "global_w.csv": "f0322fbb20e5cff3cdab3ec7857ec22a326a989f59f7dafda190a1fcc2a722d2",
             "gains.csv": "d96cc48aacdfe4c76e043bbb2c5154ecc33b588b555e9bfbc049ad62a19e5dde",
             "reference.csv": "73108aca1f9381221a76bb14183152393f6c80ac260558c254f6e289e0b359fb",
         }),

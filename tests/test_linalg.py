@@ -4,7 +4,9 @@ The QP cases are checked against dense grid searches and the transport
 solver against an exhaustive basis enumeration (small sizes) plus an LP
 dual certificate (larger sizes), so no assertion trusts the solver alone.
 The assignment branch (equal sizes, one mass value) is checked against
-the HiGHS LP it replaces, bit for bit, and against the enumeration.
+the HiGHS LP, bit for bit, and against the enumeration; the
+transportation simplex, which takes every other instance, against the
+same LP at relative 1e-12 and against the enumeration.
 """
 
 import itertools
@@ -494,7 +496,7 @@ def _ulp_off():
     return off
 
 
-@pytest.mark.parametrize("supply, demand, lp_calls", [
+@pytest.mark.parametrize("supply, demand, simplex_calls", [
     pytest.param(_third(), _third(), 0, id="equal-uniform"),
     pytest.param(np.zeros(3), np.zeros(3), 0, id="equal-uniform-zero"),
     pytest.param(_third(), _ulp_off(), 1, id="one-weight-an-ulp-off"),
@@ -503,22 +505,115 @@ def _ulp_off():
                  id="supply-value-differs-from-demand-value"),
     pytest.param(_third(), np.full(2, 0.5), 1, id="unequal-sizes"),
 ])
-def test_transport_dispatch_rule(monkeypatch, supply, demand, lp_calls):
-    """Only equal sizes with one mass value in both skip the LP; the test
-    is ==, so one ulp sends an instance to the LP."""
-    calls, linprog = [], linalg.linprog
+def test_transport_dispatch_rule(monkeypatch, supply, demand, simplex_calls):
+    """Only equal sizes with one mass value in both skip the simplex; the
+    test is ==, so one ulp sends an instance to the simplex. No instance
+    reaches the HiGHS LP."""
+    calls, simplex = [], linalg._transport_simplex
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return simplex(*args)
 
-    monkeypatch.setattr(linalg, "linprog", counting)
+    monkeypatch.setattr(linalg, "_transport_simplex", counting)
+    monkeypatch.setattr(linalg, "linprog", None)  # any LP call fails
     rng = np.random.default_rng(5)
     cost = rng.random((supply.size, demand.size))
     plan, _ = solve_transport_exact(supply, demand, cost)
-    assert len(calls) == lp_calls
+    assert len(calls) == simplex_calls
     assert np.allclose(plan.sum(axis=1), supply, atol=1e-12)
     assert np.allclose(plan.sum(axis=0), demand, atol=1e-12)
+
+
+def _use_solver(monkeypatch, solver):
+    """Send solve_transport_exact's non-assignment instances to `solver`:
+    the simplex as it is, or the HiGHS LP in its place."""
+    if solver == "oracle":
+        monkeypatch.setattr(linalg, "_transport_simplex", _transport_lp)
+
+
+@pytest.mark.parametrize("solver", ["simplex", "oracle"])
+@pytest.mark.parametrize("imbalance", [2e-10, 5e-10, 9e-10])
+def test_masses_balanced_within_the_check_are_solvable(monkeypatch, solver, imbalance):
+    """The check admits totals 1e-9 apart; the demand is scaled to the
+    supply's total first, so both solvers find a plan. HiGHS alone failed
+    on these ("The problem is infeasible") from about 1e-10 on."""
+    _use_solver(monkeypatch, solver)
+    supply = np.array([0.5, 0.5])
+    demand = np.array([0.3, 0.3, 0.4 + imbalance])
+    cost = np.array([[1.0, 4.0, 2.0], [0.0, 1.0, 3.0]])
+    plan, total = solve_transport_exact(supply, demand, cost)
+    assert np.all(plan >= 0)
+    assert np.allclose(plan.sum(axis=1), supply, rtol=0, atol=1e-12)
+    assert np.allclose(plan.sum(axis=0), demand / demand.sum(), rtol=0, atol=1e-12)
+    assert total == pytest.approx(enumerate_transport_optimum(
+        supply, demand / demand.sum(), cost), rel=1e-9)
+
+
+@pytest.mark.parametrize("solver", ["simplex", "oracle"])
+def test_supply_within_the_check_of_no_demand_moves_nothing(monkeypatch, solver):
+    _use_solver(monkeypatch, solver)
+    plan, total = solve_transport_exact([5e-10, 0.0], [0.0, 0.0, 0.0], np.ones((2, 3)))
+    assert not plan.any() and total == 0.0
+
+
+@st.composite
+def transport_instances(draw):
+    """(supply, demand, cost) of 1..40 by 1..40 points, with duplicated
+    points, zero masses or masses an ulp apart drawn in; each side keeps
+    some mass and the totals agree within a few ulps."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a, b = rng.normal(size=(n, 2)) * 3.0, rng.normal(size=(m, 2)) * 3.0
+    if draw(st.booleans()):  # duplicated points: tied costs
+        a, b = a[np.arange(n) % ((n + 1) // 2)], b[np.arange(m) % ((m + 1) // 2)]
+    masses = []
+    for size in (n, m):
+        kind = draw(st.sampled_from(["random", "zeros", "ulp-apart"]))
+        w = rng.random(size) + 0.1
+        if kind == "zeros":
+            w[rng.random(size) < 0.4] = 0.0
+            w[rng.integers(size)] = 1.0
+        elif kind == "ulp-apart":
+            w = np.full(size, 1.0 / size)
+            w[rng.integers(size)] = np.nextafter(1.0 / size, 1.0)
+        masses.append(w / w.sum())
+    cost = np.sum((b - a[:, None, :]) ** 2, axis=2)
+    return masses[0], masses[1], cost
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(transport_instances())
+def test_simplex_matches_the_lp_oracle(instance):
+    supply, demand, cost = instance
+    plan, total = solve_transport_exact(supply, demand, cost)
+    scaled = demand * (supply.sum() / demand.sum())
+    lp_plan = _transport_lp(supply, scaled, cost)
+    assert total == pytest.approx(float(np.sum(lp_plan * cost)), rel=1e-12)
+    assert np.all(plan >= 0)
+    assert np.abs(plan.sum(axis=1) - supply).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - demand).max() <= 1e-12
+
+
+def test_simplex_matches_enumeration_oracle():
+    """Every shape up to 4x4, on rational masses, whose partial sums tie
+    often: degenerate bases are the rule here."""
+    rng = np.random.default_rng(23)
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        for _ in range(4):
+            s, d, cost = random_balanced(rng, n, m)
+            plan = linalg._transport_simplex(s, d, cost)
+            assert float(np.sum(plan * cost)) == pytest.approx(
+                enumerate_transport_optimum(s, d, cost), rel=1e-12, abs=1e-15)
+
+
+def test_simplex_is_deterministic():
+    supply, demand, cost = continuous_balanced(np.random.default_rng(3), 120, 90)
+    first = solve_transport_exact(supply, demand, cost)
+    again = solve_transport_exact(supply.copy(), demand.copy(), cost.copy())
+    assert first[0].tobytes() == again[0].tobytes()
+    assert first[1] == again[1]
 
 
 # ------------------------------------------------------------- W2 as a metric

@@ -384,7 +384,7 @@ PAIR_WB = np.array([0.4, 0.1, 0.3, 0.2])
 
 
 @pytest.mark.parametrize("cap, expected", [
-    (500, (1.1884864324004711, False)),  # neither cloud reduced
+    (500, (1.1884864324004714, False)),  # neither cloud reduced
     (4, (1.25, True)),                   # only the 5-point cloud is above cap
     (3, (1.0801234497346432, True)),     # both clouds resampled to 3 points
 ])
