@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_count, check_extent
+from .errors import InputError, check_count, check_points
 
 MAX_DRAWS_PER_SAMPLE = 1000  # rejection-sampling budget per requested sample
 
@@ -24,15 +24,14 @@ class SampleCloud:
     weights: np.ndarray    # (N,) nonnegative, sums to 1
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        pos = check_points(self.positions, "positions")
         w = np.asarray(self.weights, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] == 0:
-            raise InputError("positions must be a nonempty (N, 2) array")
+        if pos.shape[0] == 0:
+            raise InputError("positions must be nonempty")
         if w.shape != (pos.shape[0],):
             raise InputError("weights length must match positions")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
-            raise InputError("non-finite values in cloud")
-        check_extent(pos)
+        if not np.all(np.isfinite(w)):
+            raise InputError("weights must be finite")
         if np.any(w < 0):
             raise InputError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -61,9 +60,13 @@ class MixtureSpec:
     def __post_init__(self):
         comps = []
         total = 0.0
-        for mean, cov, w in self.components:
-            mean = np.array(mean, dtype=float).reshape(2)
-            cov = np.array(cov, dtype=float).reshape(2, 2)
+        for i, (mean, cov, w) in enumerate(self.components):
+            mean, cov = np.array(mean, dtype=float), np.array(cov, dtype=float)
+            if mean.shape != (2,):
+                raise InputError(f"component {i}: mean must hold 2 numbers, got shape "
+                                 f"{mean.shape}")
+            if cov.shape != (2, 2):
+                raise InputError(f"component {i}: cov must be 2 x 2, got shape {cov.shape}")
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
                 raise InputError("mean and covariance must be finite")
             # cholesky reads only the lower triangle
@@ -83,8 +86,12 @@ class MixtureSpec:
             raise InputError("mixing weights must sum to 1")
         check_count(self.n_samples, "n_samples", 1)
         check_count(self.seed, "seed", 0)
-        x_min, x_max, y_min, y_max = map(float, self.domain)
-        if x_min >= x_max or y_min >= y_max:
+        domain = np.asarray(self.domain, dtype=float)
+        if domain.shape != (4,):
+            raise InputError("domain must hold 4 numbers (x_min, x_max, y_min, y_max), "
+                             f"got shape {domain.shape}")
+        x_min, x_max, y_min, y_max = domain.tolist()
+        if not (x_min < x_max and y_min < y_max):  # also a NaN bound
             raise InputError("empty domain")
         object.__setattr__(self, "components", tuple(comps))
         object.__setattr__(self, "domain", (x_min, x_max, y_min, y_max))

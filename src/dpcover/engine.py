@@ -22,7 +22,7 @@ from . import controller, coordination, dynamics, linalg, transport
 from .coordination import CommConfig
 from .distribution import SampleCloud, agent_alpha
 from .dynamics import LtiSystem
-from .errors import InputError, check_count, check_extent
+from .errors import InputError, check_count, check_points
 
 REMAINING_MASS_EPS = 1e-9
 
@@ -31,9 +31,11 @@ REMAINING_MASS_EPS = 1e-9
 class Scenario:
     """Everything needed for one deterministic run. An agent's input set is
     its system's `input_bounds` (None: unconstrained). Construction is the
-    one check of each agent's initial_state length and budget M, and of
-    its initial output C x0 lying with the reference positions in a box of
-    finite squared diagonal, so no W2 or gain cost overflows."""
+    one check of each agent's initial_state length and budget M, of the
+    total budget, whose inverse is the claim size, and of each initial
+    output C x0 lying with the reference positions in a box of finite
+    squared diagonal (errors.check_points), so no W2 or gain cost
+    overflows."""
 
     systems: list[LtiSystem]          # one per agent
     initial_states: list[np.ndarray]  # (n_r,) each
@@ -64,12 +66,11 @@ class Scenario:
             if sys.p != 2:
                 raise InputError(f"agents[{i}]: outputs must be planar (p = 2)")
             y0 = dynamics.output(sys, x0)
-            try:
-                check_extent(np.vstack([box, y0]))
-            except InputError:
-                raise InputError(f"agents[{i}]: the initial output C x0 and the reference "
-                                 "positions must be in a bounding box of finite "
-                                 "squared diagonal") from None
+            check_points(np.vstack([box, y0]), f"agents[{i}]: the initial output C x0 "
+                         "and the reference positions")
+        if sum(self.budgets) > float(np.finfo(float).max):
+            raise InputError("the total budget, the sum of every agent's M, must be at "
+                             "most 1.8e308, so that the claim size 1 / total is a float")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one count check, the
-one small-vector finiteness check and the one cloud-extent check."""
+one small-vector finiteness check and the one check of a cloud's
+positions."""
 
 import math
 
@@ -49,14 +50,20 @@ def check_finite(value, size: int, name: str) -> np.ndarray:
     raise InputError(f"{name} must be finite, with {size} entries, got {v}")
 
 
-def check_extent(positions) -> None:
-    """InputError unless the finite (N, 2) positions lie in a bounding box
-    whose squared diagonal is finite, so that no squared distance between
-    two of them overflows. In Python floats: an overflow is inf, not a
-    RuntimeWarning."""
-    if positions.shape[0] == 0:
-        return
-    (x0, y0), (x1, y1) = positions.min(axis=0).tolist(), positions.max(axis=0).tolist()
-    dx, dy = x1 - x0, y1 - y0
-    if not math.isfinite(dx * dx + dy * dy):
-        raise InputError("positions must be in a bounding box of finite squared diagonal")
+def check_points(points, name: str) -> np.ndarray:
+    """points as a float (N, 2) array if its values are finite and lie in a
+    bounding box whose squared diagonal is finite, so that no squared
+    distance between two of them overflows, else InputError. N may be 0.
+    One min and one max pass decide both: NaN and inf propagate to the
+    box, and in Python floats an overflow is inf, not a RuntimeWarning."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise InputError(f"{name} must be (N, 2), got shape {p.shape}")
+    if p.shape[0]:
+        lo, hi = p.min(axis=0).tolist(), p.max(axis=0).tolist()
+        dx, dy = hi[0] - lo[0], hi[1] - lo[1]
+        if not math.isfinite(dx * dx + dy * dy):
+            if not all(map(math.isfinite, lo + hi)):
+                raise InputError(f"{name} must be finite")
+            raise InputError(f"{name} must be in a bounding box of finite squared diagonal")
+    return p

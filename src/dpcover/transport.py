@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustionError, InputError, check_count, check_extent, check_finite
+from .errors import ExhaustionError, InputError, check_count, check_finite, check_points
 from .linalg import TRANSPORT_SIZE_CAP, solve_transport_exact
 
 
@@ -48,8 +48,12 @@ class TransportPlan:
 # no weight is left below this but above 0: "weight > 0" is roundoff-stable
 WEIGHT_SNAP = 1e-12
 
-# clouds below this size get no grid: at 600 samples a whole-cloud fill
-# costs what a grid query does
+# clouds below this size get no grid cells, for acceptance criterion 10
+# (claim time flat in the fleet size, bound x1.25): on its 600-sample
+# cloud a grid claim costs 45.6 us with 1 agent and 36.3 us with 8, the
+# whole-cloud fill a flat 38-42 us, and cells raised its spread from
+# x1.07 to x1.11-1.18 (once x1.55), though they cut desk's claim time by
+# 15%
 GRID_MIN_SAMPLES = 2048
 # a claim's first block holds about this many times its demand at the
 # view's mean density, and widens (its half-width doubled) at most _GROWS
@@ -100,17 +104,12 @@ class CloudGrid:
     a sample in its cell: `x_before[i]` is the largest x in the columns
     before column i (-inf when none) and `x_after[i]` the smallest x in the
     columns after it (+inf when none), and likewise `y_before`, `y_after`
-    over the rows. InputError unless positions are finite (N, 2) values
-    whose bounding box has a finite squared diagonal.
+    over the rows. InputError unless errors.check_points takes the
+    positions.
     """
 
     def __init__(self, positions):
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise InputError(f"positions must be (N, 2), got {positions.shape}")
-        if not np.all(np.isfinite(positions)):
-            raise InputError("positions must be finite")
-        check_extent(positions)
+        positions = check_points(positions, "positions")
         # C order: a block gathers whole rows (take on a Fortran array is slow)
         self.positions = np.ascontiguousarray(positions)
         self.order = None
@@ -166,19 +165,21 @@ def _edges(coord, cell, size: int) -> tuple[list[float], list[float]]:
     return before, after
 
 
-def _as_cloud(positions, weights) -> tuple[np.ndarray, np.ndarray, CloudGrid | None]:
-    """(positions, weights, grid): (N, 2) positions and their (N,) weights
-    as float arrays, and the grid when positions is a CloudGrid (None for
-    a plain array), else InputError. Only the shapes are checked: a
-    finiteness check would cost a pass over the cloud on every call, and
-    SampleCloud and CloudGrid already require finite values."""
-    grid = positions if isinstance(positions, CloudGrid) else None
-    positions = grid.positions if grid else np.asarray(positions, dtype=float)
+def _as_cloud(positions, weights) -> tuple[CloudGrid, np.ndarray]:
+    """(grid, weights): positions as a CloudGrid, built here from a plain
+    array, and the weights as an (N,) float array, else InputError. The
+    weights' values are not checked: that would cost a pass over the
+    cloud on every claim."""
+    grid = positions if isinstance(positions, CloudGrid) else CloudGrid(positions)
+    return grid, _weights_of(weights, grid.positions.shape[0])
+
+
+def _weights_of(weights, n: int) -> np.ndarray:
+    """weights as an (n,) float array, else InputError."""
     weights = np.asarray(weights, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2 or weights.shape != positions.shape[:1]:
-        raise InputError(f"positions must be (N, 2) and weights (N,), got "
-                         f"{positions.shape} and {weights.shape}")
-    return positions, weights, grid
+    if weights.shape != (n,):
+        raise InputError(f"weights must be ({n},), one per position, got {weights.shape}")
+    return weights
 
 
 def _squared_distances(points, center):
@@ -196,19 +197,21 @@ def _keys(d2, weights, weighted: bool):
         return np.sqrt(d2) / weights
 
 
-def _claim(positions, weights, grid, center, demand: float, weighted: bool):
+def _claim(grid: CloudGrid, weights, center, demand: float, weighted: bool):
     """_fill_nearest over the whole cloud keyed by _keys, bit for bit.
 
-    With a grid it first looks at a block of cells about `center` holding
-    about _BLOCK_MASS times the demand at the view's mean density. No
-    sample outside the block has a key below bound = _keys(gap**2, the
-    largest weight), since fl rounding is monotone, so the block's live
-    samples keyed below the bound are a head of the whole cloud's stable
-    order; when they hold the demand, the fill along them is the whole
-    cloud's. Else the block widens, up to _GROWS times, and then the whole
-    cloud is filled, the one path to exhaustion and ExhaustionError.
+    When the grid has cells, it first looks at a block of them about
+    `center` holding about _BLOCK_MASS times the demand at the view's mean
+    density. No sample outside the block has a key below bound =
+    _keys(gap**2, the largest weight), since fl rounding is monotone, so
+    the block's live samples keyed below the bound are a head of the whole
+    cloud's stable order; when they hold the demand, the fill along them
+    is the whole cloud's. Else the block widens, up to _GROWS times, and
+    then the whole cloud is filled, the one path to exhaustion and
+    ExhaustionError.
     """
-    if grid is not None and grid.order is not None and demand < (total := weights.sum()):
+    positions = grid.positions
+    if grid.order is not None and demand < (total := weights.sum()):
         w_max = float(weights.max()) if weighted else 1.0
         half = 0.5 * grid.h * math.sqrt(_BLOCK_MASS * demand / total * grid.nx * grid.ny)
         for _ in range(_GROWS + 1):
@@ -236,14 +239,14 @@ def select_local_samples(weights, positions, prev_center, alpha: float) -> Local
     partially, until the claimed mass reaches alpha or the weights run out.
     positions is an (N, 2) array or the cloud's CloudGrid.
     """
-    positions, weights, grid = _as_cloud(positions, weights)
+    grid, weights = _as_cloud(positions, weights)
     if not 0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
     prev_center = check_finite(prev_center, 2, "prev_center")
     # every take is > 0: a whole take is a live weight, and the fill stops at
     # the first cum >= alpha - 1e-15, so a partial one is > 1e-15 - ulp
-    idx, taken, exhausted = _claim(positions, weights, grid, prev_center, alpha, True)
-    pts = positions[idx]
+    idx, taken, exhausted = _claim(grid, weights, prev_center, alpha, True)
+    pts = grid.positions[idx]
     center = (taken @ pts) / taken.sum()
     return LocalSelection(indices=idx, taken=taken, points=pts,
                           mass_center=center, exhausted=exhausted)
@@ -260,13 +263,13 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     ExhaustionError if alpha_next exceeds the live mass by over 1e-12.
     positions is an (N, 2) array or the cloud's CloudGrid.
     """
-    positions, weights, grid = _as_cloud(positions, weights)
+    grid, weights = _as_cloud(positions, weights)
     if not 0 <= alpha_next < math.inf:
         raise InputError("alpha_next must be nonnegative and finite")
     agent_pos = check_finite(agent_pos, 2, "agent_pos")
     if alpha_next == 0:
         return TransportPlan(np.empty(0, dtype=np.intp), np.empty(0))
-    idx, fill, exhausted = _claim(positions, weights, grid, agent_pos, alpha_next, False)
+    idx, fill, exhausted = _claim(grid, weights, agent_pos, alpha_next, False)
     if exhausted and alpha_next > fill.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
     if weights[idx[-1]] - fill[-1] < WEIGHT_SNAP:
@@ -289,14 +292,14 @@ def _reduce_cloud(points, weights, cap: int) -> tuple[np.ndarray, np.ndarray, bo
     points of equal weight 1/cap, read off the cumulative weights at the
     fixed comb (0.5 + i) / cap, i = 0 .. cap - 1. The weights are then
     rescaled to sum to 1, so two reduced clouds balance exactly for
-    solve_transport_exact. InputError unless the cloud is nonempty finite
-    (N, 2) points with N nonnegative weights of positive, finite sum.
+    solve_transport_exact. InputError unless errors.check_points takes the
+    points and they are nonempty, with N nonnegative weights of positive,
+    finite sum.
     """
-    points, weights, _ = _as_cloud(points, weights)
+    points = check_points(points, "cloud points")
+    weights = _weights_of(weights, points.shape[0])
     if points.shape[0] == 0:
         raise InputError("clouds must be nonempty")
-    if not np.all(np.isfinite(points)):
-        raise InputError("cloud points must be finite")
     if np.any(weights < 0):
         raise InputError("cloud weights must be nonnegative")
     mass = weights.sum()
@@ -318,10 +321,12 @@ def global_wasserstein(points_a, weights_a, points_b, weights_b,
                        cap: int = TRANSPORT_SIZE_CAP) -> tuple[float, bool]:
     """(W2, subsampled): the exact 2-Wasserstein distance between two
     weighted planar clouds, each reduced by _reduce_cloud with the integer
-    cap >= 1, and whether either cloud was subsampled."""
+    cap >= 1, and whether either cloud was subsampled. The reduced clouds
+    also pass errors.check_points together, so no cost entry overflows."""
     check_count(cap, "cap", 1)
     points_a, wa, subsampled_a = _reduce_cloud(points_a, weights_a, cap)
     points_b, wb, subsampled_b = _reduce_cloud(points_b, weights_b, cap)
+    check_points(np.vstack([points_a, points_b]), "the two clouds' points")
     cost = _squared_distances(points_b, points_a[:, None, :])
     _, total = solve_transport_exact(wa, wb, cost)
     return float(np.sqrt(max(total, 0.0))), subsampled_a or subsampled_b

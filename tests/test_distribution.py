@@ -67,6 +67,14 @@ def test_singular_cov_rejected():
         single_gaussian(10, cov=[[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("domain", [(5.0, 5.0, 0.0, 10.0), (0.0, 10.0, 0.0, np.nan)])
+def test_empty_or_nan_domain_rejected(domain):
+    """A NaN bound compares false both ways: it is no domain, and is
+    rejected before sampling spends its draw budget."""
+    with pytest.raises(InputError, match="empty domain"):
+        single_gaussian(10, domain=domain)
+
+
 def test_mixing_weights_must_sum_to_one():
     with pytest.raises(InputError):
         MixtureSpec(components=(((0.0, 0.0), [[1.0, 0.0], [0.0, 1.0]], 0.4),),

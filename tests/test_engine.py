@@ -230,6 +230,10 @@ def test_scenario_alignment_checks():
     with pytest.raises(InputError):
         Scenario(systems=[sys], initial_states=[np.zeros(2)], budgets=[0],
                  cloud=cloud)
+    # each M is a count, but 1 / (their sum) would overflow when the run starts
+    with pytest.raises(InputError, match="total budget"):
+        Scenario(systems=[sys, sys], initial_states=[np.zeros(2), np.zeros(2)],
+                 budgets=[10**308, 10**308], cloud=cloud)
 
 
 def test_scenario_polytope_columns_match_inputs():
@@ -332,10 +336,9 @@ SHAPE_KINDS = ("empty", "short", "long")
 def _malformable_calls():
     """Each public function the step loop calls, with valid arguments and
     the malformations each argument may take (none for the system, gain
-    terms and config). Cloud positions and weights given to
-    select_local_samples and weight_update take only shape malformations:
-    SampleCloud rejects non-finite ones, and a check there would cost a
-    pass over the cloud on every call."""
+    terms and config). Cloud weights given to select_local_samples and
+    weight_update take only shape malformations: a check of their values
+    would cost a pass over the cloud on every call."""
     sys = make_preset("first_order", 0.1)
     gt = controller.GainTerms(D1=np.eye(2), D2=np.array([0.5, -0.5]), D3=-1.0)
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -343,10 +346,10 @@ def _malformable_calls():
     any_kind = VALUE_KINDS + SHAPE_KINDS
     return {
         "select_local_samples": (transport.select_local_samples, [
-            (w, SHAPE_KINDS), (pos, SHAPE_KINDS), (np.zeros(2), any_kind),
+            (w, SHAPE_KINDS), (pos, any_kind), (np.zeros(2), any_kind),
             (0.2, VALUE_KINDS)]),
         "weight_update": (transport.weight_update, [
-            (pos, SHAPE_KINDS), (w, SHAPE_KINDS), (np.zeros(2), any_kind),
+            (pos, any_kind), (w, SHAPE_KINDS), (np.zeros(2), any_kind),
             (0.2, VALUE_KINDS)]),
         "global_wasserstein": (transport.global_wasserstein, [
             (pos, any_kind), (w, any_kind), (pos + 1.0, any_kind), (w, any_kind)]),

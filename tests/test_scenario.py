@@ -272,7 +272,7 @@ def _quadrotor_doc(**params):
     return doc
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("doc, match", [(doc, None) for doc in [
     _with(("seed",), "x"),
     # an explicit mixture seed does not excuse a negative top-level seed
     _with(("reference", "mixture", "seed"), 3, first_order_doc(seed=-1)),
@@ -330,6 +330,15 @@ def _quadrotor_doc(**params):
     _with(("input_constraints",), {"u_max": True}),
     _with(("input_constraints",), {"Cu": [[True, 0.0], [-1.0, 0.0]], "Du": [1.0, 1.0]}),
     _with(("input_constraints",), {"Cu": [[1.0, 0.0], [-1.0, 0.0]], "Du": [True, 1.0]}),
+]] + [
+    # a total budget whose inverse, the claim size, is no float
+    (_with(("agents", 0, "M"), 10**400), "total budget"),
+    # mixture fields of the wrong size name the field, not numpy's reshape
+    (_with(("reference", "mixture", "domain"), [0.0, 10.0, 0.0]), "domain must hold 4"),
+    (_with(("reference", "mixture", "components", 0, "mean"), [5.0, 5.0, 5.0]),
+     "component 0: mean must hold 2"),
+    (_with(("reference", "mixture", "components", 0, "cov"), [[2.0]]),
+     "component 0: cov must be 2 x 2"),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
         "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
         "u-max-inf", "cu-str", "components-int", "system-int", "agent-system-int",
@@ -341,9 +350,11 @@ def _quadrotor_doc(**params):
         "dt-inf", "matrix-bool", "quadrotor-tau-max-bool", "params-pairs-bool",
         "params-pairs-str", "params-empty-list", "params-str", "initial-state-bool",
         "mean-bool", "cov-bool", "domain-bool", "domain-inf", "d-comm-bool",
-        "d-comm-inf", "comm-unknown-key", "u-max-bool", "cu-bool", "du-bool"])
-def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
-    with pytest.raises(ScenarioError):
+        "d-comm-inf", "comm-unknown-key", "u-max-bool", "cu-bool", "du-bool",
+        "budget-total-overflows", "domain-three-numbers", "mean-three-numbers",
+        "cov-one-by-one"])
+def test_malformed_document_is_a_scenario_error(doc, match, tmp_path, capsys):
+    with pytest.raises(ScenarioError, match=match):
         build_scenario(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -355,7 +366,7 @@ def test_malformed_document_is_a_scenario_error(doc, tmp_path, capsys):
     assert not out.exists()
 
 
-FUZZ_PALETTE = (None, True, False, -1, 0, 0.5, 5, float("nan"), float("inf"),
+FUZZ_PALETTE = (None, True, False, -1, 0, 0.5, 5, 10**400, float("nan"), float("inf"),
                 "x", [], {})
 
 

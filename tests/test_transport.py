@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from dpcover.errors import ExhaustionError, InputError
 from dpcover.linalg import solve_transport_exact
 from dpcover.transport import (GRID_MIN_SAMPLES, WEIGHT_SNAP, CloudGrid, LocalSelection,
-                               _fill_nearest, _reduce_cloud, _squared_distances,
-                               global_wasserstein, local_wasserstein, select_local_samples,
-                               weight_update)
+                               TransportPlan, _fill_nearest, _reduce_cloud,
+                               _squared_distances, global_wasserstein, local_wasserstein,
+                               select_local_samples, weight_update)
 
 
 def _dense(plan, n):
@@ -310,6 +310,35 @@ def test_public_functions_reject_a_non_finite_centre(centre):
             call()
 
 
+@pytest.mark.parametrize("positions", [
+    [[0.0, 0.0], [1.0, np.nan], [2.0, 2.0], [np.inf, 0.0]],
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [np.inf, 0.0]],
+    [[0.0, 0.0], [1.0, 1.0], [2.0, -np.inf], [3.0, 0.0]],
+    [[0.0, 0.0], [1e308, 1.0], [2.0, 2.0], [-1e308, 0.0]],
+], ids=["nan", "inf", "-inf", "extent"])
+def test_claims_reject_plain_positions_that_check_points_rejects(positions):
+    """A plain array passes the same check as a CloudGrid's positions: a NaN
+    or infinite position, or a cloud whose squared extent overflows, is an
+    InputError, not a NaN mass centre or an overflow warning."""
+    weights = np.full(4, 0.25)
+    for call in (lambda: select_local_samples(weights, positions, CENTRE, 0.9),
+                 lambda: weight_update(positions, weights, CENTRE, 0.9)):
+        with pytest.raises(InputError, match="positions must be"):
+            call()
+
+
+@pytest.mark.parametrize("clouds", [
+    ([[1e154, 0.0]], [1.0], [[-1e154, 0.0]], [1.0]),
+    ([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5], [[0.0, 0.0]], [1.0]),
+], ids=["pair-apart", "one-cloud-spans"])
+def test_global_wasserstein_rejects_clouds_whose_costs_overflow(clouds):
+    """Finite points whose squared distance overflows are an InputError,
+    raised before any cost entry is formed (the suite makes a
+    RuntimeWarning an error)."""
+    with pytest.raises(InputError, match="bounding box of finite squared diagonal"):
+        global_wasserstein(*(np.array(c) for c in clouds))
+
+
 def test_global_wasserstein_identical_clouds():
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
     w = np.array([0.5, 0.5])
@@ -560,17 +589,40 @@ def _outcome(call):
 
 
 def _bits(result):
-    """A selection, a plan or an error as comparable bytes."""
+    """A selection, a plan or an error's type as comparable bytes."""
     if isinstance(result, tuple):
-        return result
+        return result[0]
     if isinstance(result, LocalSelection):
         return (result.indices.tobytes(), result.taken.tobytes(), result.points.tobytes(),
                 result.mass_center.tobytes(), result.exhausted)
     return result.indices.tobytes(), result.gammas.tobytes()
 
 
+def _whole_cloud_claim(positions, weights, centre, demand, weighted):
+    """The oracle of both claims, ranking the whole cloud: _fill_full_sort
+    over the live samples keyed by squared distance (the update) or by
+    distance over weight (the selection), then the selection's mass centre
+    or the update's excess-demand error and WEIGHT_SNAP rule."""
+    live = np.flatnonzero(weights > 0)
+    if live.size == 0:
+        raise ExhaustionError("no live sample")
+    d = positions[live] - centre
+    keys = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    if weighted:
+        keys = np.sqrt(keys) / weights[live]
+    idx, taken, exhausted = _fill_full_sort(weights, live, keys, demand)
+    if weighted:
+        points = positions[idx]
+        return LocalSelection(idx, taken, points, (taken @ points) / taken.sum(), exhausted)
+    if exhausted and demand > taken.sum() + 1e-12:
+        raise ExhaustionError("demand exceeds the live mass")
+    if weights[idx[-1]] - taken[-1] < WEIGHT_SNAP:
+        taken[-1] = weights[idx[-1]]
+    return TransportPlan(idx, taken)
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.sampled_from([GRID_MIN_SAMPLES, 3001]),
+@given(st.sampled_from([1, 3, 600, GRID_MIN_SAMPLES, 3001]),
        st.sampled_from(["uniform", "clusters", "duplicates", "collinear", "identical"]),
        st.sampled_from(["fresh", "spent", "partial", "outlier", "claimed", "empty"]),
        st.sampled_from(["inside", "lattice", "outside", "far"]),
@@ -586,11 +638,13 @@ def _bits(result):
 @example(3001, "uniform", "claimed", "far", "total", 5)
 @example(GRID_MIN_SAMPLES, "uniform", "empty", "inside", "one", 6)
 def test_grid_claims_equal_whole_cloud_fills(n, layout, state, where, demand_kind, seed):
-    """A claim through the cloud's CloudGrid returns the bits, or raises the
-    error, of the same claim ranked over the whole cloud (a plain array).
-    The "duplicates" "lattice" "boundary" examples put a sample outside the
-    first block on a key equal to its bound, where a claim that ranked it
-    after an equal key inside the block would take the wrong sample."""
+    """A claim through the cloud's CloudGrid, and through the plain array,
+    returns the bits, or raises the error type, of the same claim ranked
+    over the whole cloud by _whole_cloud_claim. Clouds of GRID_MIN_SAMPLES
+    or more take the grid's blocks. The "duplicates" "lattice" "boundary"
+    examples put a sample outside the first block on a key equal to its
+    bound, where a claim that ranked it after an equal key inside the
+    block would take the wrong sample."""
     rng = np.random.default_rng(seed)
     positions = {"uniform": lambda: rng.uniform(-50.0, 50.0, size=(n, 2)),
                  "clusters": lambda: (rng.normal(0.0, 2.0, size=(n, 2))
@@ -610,7 +664,7 @@ def test_grid_claims_equal_whole_cloud_fills(n, layout, state, where, demand_kin
     elif state == "claimed":  # holes where earlier claims emptied the cloud
         for _ in range(40):
             plan = weight_update(positions, weights, rng.uniform(-40.0, 40.0, 2),
-                                 float(rng.uniform(1.0, 30.0)) / n)
+                                 min(float(rng.uniform(1.0, 30.0)) / n, weights.sum()))
             weights[plan.indices] -= plan.gammas
     elif state == "empty":
         weights[:] = 0.0
@@ -631,7 +685,10 @@ def test_grid_claims_equal_whole_cloud_fills(n, layout, state, where, demand_kin
               "many": lambda: 0.3 * total, "total": lambda: total,
               "beyond": lambda: 1.5 * total}[demand_kind]() if live.size else 1.0 / n
     grid = CloudGrid(positions)
-    assert grid.order is not None
-    for claim in (lambda p: select_local_samples(weights, p, centre, demand),
-                  lambda p: weight_update(p, weights, centre, demand)):
-        assert _bits(_outcome(lambda: claim(grid))) == _bits(_outcome(lambda: claim(positions)))
+    assert (grid.order is not None) == (n >= GRID_MIN_SAMPLES)
+    for weighted, claim in ((True, lambda p: select_local_samples(weights, p, centre, demand)),
+                            (False, lambda p: weight_update(p, weights, centre, demand))):
+        want = _bits(_outcome(lambda: _whole_cloud_claim(positions, weights, centre, demand,
+                                                         weighted)))
+        assert _bits(_outcome(lambda: claim(grid))) == want
+        assert _bits(_outcome(lambda: claim(positions))) == want
