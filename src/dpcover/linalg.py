@@ -5,18 +5,28 @@ dimensions, transport instances capped at 500x500) and favors exactness
 and determinism over speed. Exact transport has one dispatch rule: equal
 sizes with one mass value go to the assignment solver, whose plan
 matched the HiGHS LP's bit for bit in every reference run; every other
-instance goes to the transportation simplex. The LP stays as the tests'
-oracle.
+instance goes to the transportation simplex. The HiGHS LP is the tests'
+oracle and lives with them.
+
+Of scipy, a run loads only the compiled assignment core,
+scipy.optimize._lsap, read straight from its file so that
+scipy/optimize/__init__ (0.35-0.4 s of imports on a 2-vCPU host) is
+skipped; if that file is not where scipy keeps it, the public import is
+used instead.
+scipy.optimize itself is imported on the first linprog call, which only
+an input polytope that is not a centred box makes.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import InfeasibleError, InputError, SizeError
 
@@ -24,6 +34,51 @@ if TYPE_CHECKING:
     from .controller import GainTerms
 
 TRANSPORT_SIZE_CAP = 500
+_LSAP = "scipy.optimize._lsap"
+
+
+def _assignment_path() -> str | None:
+    """The file of scipy's compiled assignment core, found without
+    importing scipy; None if it is not there."""
+    spec = importlib.util.find_spec("scipy")
+    for base in (spec.submodule_search_locations if spec else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_assignment():
+    """scipy's linear_sum_assignment, loaded from scipy.optimize._lsap
+    alone and registered under that name, so that a later import of
+    scipy.optimize reuses it; the public import if the file is missing,
+    does not load or lacks the function."""
+    module = sys.modules.get(_LSAP)
+    path = None if module else _assignment_path()
+    if path is not None:
+        try:
+            loader = importlib.machinery.ExtensionFileLoader(_LSAP, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_LSAP, path, loader=loader))
+            loader.exec_module(module)
+        except ImportError:
+            module = None
+        else:
+            sys.modules[_LSAP] = module
+    found = getattr(module, "linear_sum_assignment", None)
+    if found is None:
+        from scipy.optimize import linear_sum_assignment as found
+    return found
+
+
+linear_sum_assignment = _load_assignment()
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -458,22 +513,3 @@ def _tree_flows(parent: list, depth: list, mass: list) -> list:
             left[p] -= left[v]
     return flow
 
-
-def _transport_lp(supply, demand, cost) -> np.ndarray:
-    """The optimal plan of the checked, balanced transport instance, by
-    HiGHS with 1e-10 feasibility tolerances, clipped at 0. The tests'
-    oracle for _transport_simplex."""
-    n_s, n_d = cost.shape
-    A_eq = sparse.vstack([
-        sparse.kron(sparse.eye(n_s), np.ones((1, n_d))),
-        sparse.kron(np.ones((1, n_s)), sparse.eye(n_d)),
-    ], format="csc")
-    b_eq = np.concatenate([supply, demand])
-    res = linprog(
-        cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    if res.status != 0:
-        raise InputError(f"transport LP failed: {res.message}")
-    return np.maximum(res.x.reshape(n_s, n_d), 0.0)

@@ -190,10 +190,12 @@ def _squared_distances(points, center):
 
 
 def _keys(d2, weights, weighted: bool):
-    """The fill's keys: squared distance, or (weighted) distance over weight."""
+    """The fill's keys: squared distance, or (weighted) distance over weight.
+    A weighted key that overflows is inf, so its sample ranks after every
+    finite key, ties broken by index."""
     if not weighted:
         return d2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.sqrt(d2) / weights
 
 

@@ -1,5 +1,10 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,3 +61,13 @@ def first_order_doc(n_agents=1, m_steps=5, n_samples=30, seed=3, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def run_fresh_python(lines: list[str], *args: str) -> subprocess.CompletedProcess:
+    """Run the script `lines` in a fresh interpreter that imports dpcover
+    from this checkout's src/, with `args` as sys.argv[1:]."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", "\n".join(lines), *args], env=env,
+                          capture_output=True, text=True, timeout=300)

@@ -16,7 +16,7 @@ from dpcover.errors import InputError
 from dpcover.scenario import load_scenario
 from dpcover.svgplot import plot_ellipses
 
-from conftest import first_order_doc
+from conftest import first_order_doc, run_fresh_python
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -642,3 +642,24 @@ def test_reference_whose_extent_overflows_is_an_error_not_a_traceback(tmp_path, 
     assert err.startswith("error: reference file: positions must be in a bounding box")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_run_does_not_import_scipy_optimize(tmp_path):
+    """Import, loading every checked-in scenario and a desk run need only
+    scipy's compiled assignment core: scipy.optimize, about 0.4 s of
+    imports, stays out of the interpreter."""
+    proc = run_fresh_python([
+        "import sys",
+        "from pathlib import Path",
+        "import dpcover.cli",
+        "from dpcover.scenario import load_scenario",
+        "scenarios = sorted(Path(sys.argv[1]).glob('*.json'))",
+        "assert scenarios",
+        "for path in scenarios:",
+        "    load_scenario(path)",
+        "code = dpcover.cli.main(['run', '--scenario', sys.argv[1] + '/first_order_desk.json',",
+        "                         '--out', sys.argv[2]])",
+        "assert code == 0, code",
+        "assert 'scipy.optimize' not in sys.modules",
+    ], str(SCENARIO_DIR), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

@@ -4,23 +4,36 @@ The QP cases are checked against dense grid searches and the transport
 solver against an exhaustive basis enumeration (small sizes) plus an LP
 dual certificate (larger sizes), so no assertion trusts the solver alone.
 The assignment branch (equal sizes, one mass value) is checked against
-the HiGHS LP, bit for bit, and against the enumeration; the
-transportation simplex, which takes every other instance, against the
-same LP at relative 1e-12 and against the enumeration.
+the HiGHS LP (`_transport_lp`, kept here as the oracle), bit for bit,
+and against the enumeration; the transportation simplex, which takes
+every other instance, against the same LP at relative 1e-12 and against
+the enumeration. The assignment core that linalg loads by file is pinned
+to scipy's public linear_sum_assignment.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from dpcover import linalg
 from dpcover.controller import GainTerms
+from dpcover.engine import run
 from dpcover.errors import InfeasibleError, InputError, SizeError
-from dpcover.linalg import (InputPolytope, _chebyshev_centre, _transport_lp,
-                            pseudo_inverse, solve_psd_qp, solve_transport_exact)
+from dpcover.linalg import (InputPolytope, _chebyshev_centre, pseudo_inverse,
+                            solve_psd_qp, solve_transport_exact)
+from dpcover.scenario import build_scenario
+
+from conftest import run_fresh_python
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # ---------------------------------------------------------------- pseudoinverse
@@ -359,6 +372,25 @@ def enumerate_transport_optimum(supply, demand, cost):
     return float(costs[feas].min())
 
 
+def _transport_lp(supply, demand, cost):
+    """The optimal plan of a balanced transport instance, by HiGHS with
+    1e-10 feasibility tolerances, clipped at 0: the oracle for the
+    assignment branch and the transportation simplex."""
+    n_s, n_d = cost.shape
+    A_eq = sparse.vstack([
+        sparse.kron(sparse.eye(n_s), np.ones((1, n_d))),
+        sparse.kron(np.ones((1, n_s)), sparse.eye(n_d)),
+    ], format="csc")
+    b_eq = np.concatenate([supply, demand])
+    res = linprog(
+        cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, f"transport LP failed: {res.message}"
+    return np.maximum(res.x.reshape(n_s, n_d), 0.0)
+
+
 def random_balanced(rng, m, n):
     # rational masses: integer units over a common denominator
     s = rng.integers(1, 9, size=m)
@@ -484,6 +516,70 @@ def test_assignment_with_ties_matches_the_lp_optimum(n):
     if n <= 4:
         assert total == pytest.approx(enumerate_transport_optimum(mass, mass, cost),
                                       rel=1e-12)
+
+
+
+# ------------------------------------------------ the assignment core's loader
+
+def _desk_assignment_costs(monkeypatch):
+    """The costs desk document 0 (benchmark seed 7) hands the assignment."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    costs, loaded = [], linalg.linear_sum_assignment
+
+    def recording(cost):
+        costs.append(cost.copy())
+        return loaded(cost)
+
+    monkeypatch.setattr(linalg, "linear_sum_assignment", recording)
+    run(build_scenario(workloads.generate("desk", 7)))
+    monkeypatch.setattr(linalg, "linear_sum_assignment", loaded)
+    return costs
+
+
+def test_loaded_assignment_matches_the_public_one_bit_for_bit(monkeypatch):
+    """The core read from scipy.optimize._lsap returns the public
+    linear_sum_assignment's (rows, cols), dtype and bytes included: on
+    tied, all-equal, 1x1 and 1e150-scale costs, and on every equal-size
+    instance of desk document 0."""
+    rng = np.random.default_rng(11)
+    desk = _desk_assignment_costs(monkeypatch)
+    assert len(desk) == 6 and all(c.shape == (225, 225) for c in desk)
+    for cost in [rng.integers(0, 3, size=(30, 30)).astype(float),
+                 np.full((25, 25), 2.5), np.zeros((1, 1)),
+                 rng.random((40, 40)) * 1e150, *desk]:
+        got = linalg.linear_sum_assignment(cost)
+        want = scipy.optimize.linear_sum_assignment(cost)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_assignment_loader_falls_back_to_the_public_import(monkeypatch, tmp_path):
+    """No file found, or a file that does not load: the public function."""
+    monkeypatch.delitem(sys.modules, linalg._LSAP, raising=False)
+    monkeypatch.setattr(linalg, "_assignment_path", lambda: None)
+    assert linalg._load_assignment() is scipy.optimize.linear_sum_assignment
+    broken = tmp_path / "_lsap.so"
+    broken.write_bytes(b"not an extension module")
+    monkeypatch.setattr(linalg, "_assignment_path", lambda: str(broken))
+    assert linalg._load_assignment() is scipy.optimize.linear_sum_assignment
+
+
+def test_scipy_optimize_imported_after_the_core_reuses_it():
+    """In a fresh interpreter, dpcover.linalg loads the core without
+    scipy.optimize; a later import of scipy.optimize works and binds the
+    same function, and linalg.linprog imports and runs the LP."""
+    proc = run_fresh_python([
+        "import sys",
+        "from dpcover import linalg",
+        "assert 'scipy.optimize' not in sys.modules",
+        "import scipy.optimize",
+        "assert scipy.optimize.linear_sum_assignment is linalg.linear_sum_assignment",
+        "res = linalg.linprog([1.0], bounds=[(2.0, 3.0)], method='highs')",
+        "assert res.status == 0 and res.x[0] == 2.0",
+    ])
+    assert proc.returncode == 0, proc.stderr
 
 
 def _third():

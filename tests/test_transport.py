@@ -1,5 +1,6 @@
 """Local selection, the greedy weight update, and Wasserstein diagnostics."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,16 @@ def test_selection_tie_breaks_to_lowest_index():
     sel = select_local_samples(weights, positions, np.zeros(2), 0.25)
     assert list(sel.indices) == [0]
 
+
+
+def test_selection_key_that_overflows_ranks_last_without_a_warning():
+    """3 / 1e-320 overflows to an inf key: that sample ranks after every
+    finite key, and the overflow raises no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sel = select_local_samples([1e-320, 0.5], [[3.0, 0.0], [0.0, 0.0]], [0.0, 0.0], 0.4)
+    assert list(sel.indices) == [1]
+    assert list(sel.taken) == [0.4]
 
 def test_selection_mass_constraint_and_partial_take(rng):
     for _ in range(50):
