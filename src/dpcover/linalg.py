@@ -338,13 +338,24 @@ def _transport_simplex(supply, demand, cost) -> np.ndarray:
     A full pass prices every cell and keeps each row's most negative cell
     as a candidate; the next pivots re-price only the candidates, at most
     _CANDIDATE_PIVOTS of them before the next full pass. A cell enters
-    while its reduced cost is below -1e-12 * (1 + |c_ij|), and the run
-    ends when a full pass finds none. After a pivot only the subtree cut
-    off by the leaving arc gets new depths and potentials, each derived
-    from its parent's, so the potentials are a function of the tree.
-    The returned flows are recomputed from the final tree by leaf
-    elimination from the masses, so they depend on the optimal basis
-    alone and not on rounding accumulated over pivots.
+    while its reduced cost is below -1e-12 * (1 + |c_ij|).
+
+    The tree is kept as a preorder thread (Glover, Klingman & Stutz, 1974):
+    `order` lists the nodes in preorder, `pos` is its inverse and `size`
+    holds subtree sizes, so the subtree of v is order[pos[v]:pos[v] +
+    size[v]]. The apex of the entering cell's cycle is found by size: a
+    node's strict ancestors have larger subtrees. A pivot cuts the subtree
+    below the leaving arc off, re-roots it at the entering cell's end e
+    (2q + 1 slices of the thread for a stem of q arcs) and moves that block
+    to just after the other end f; sizes change only along the cycle. The
+    block's potentials all shift by the entering cell's reduced cost, in one
+    add. The shifts drift by rounding, so when a full pass finds no
+    entering cell every potential is derived again from its parent's, in
+    preorder, and the run ends only when a pass over those potentials,
+    which are a function of the tree, finds none either. The returned flows
+    are recomputed from the final tree by leaf elimination from the masses,
+    so they depend on the optimal basis alone and not on rounding
+    accumulated over pivots.
     """
     plan = np.zeros(cost.shape)
     rows, cols = np.flatnonzero(supply > 0), np.flatnonzero(demand > 0)
@@ -352,40 +363,58 @@ def _transport_simplex(supply, demand, cost) -> np.ndarray:
         return plan
     c = cost[np.ix_(rows, cols)]
     n, m = c.shape
+    N = n + m
     mass = supply[rows].tolist() + demand[cols].tolist()
-    parent, depth, children = _greedy_tree(mass, c)
-    cl = c.tolist()
+    parent, thread = _greedy_tree(mass, c)
+    size = [1] * N
+    for v in reversed(thread[1:]):
+        size[parent[v]] += size[v]
+    order = np.array(thread)
+    pos = np.empty(N, dtype=int)
+    pos[order] = index = np.arange(N)
 
-    def potential(v: int) -> float:
-        p = parent[v]
-        return cl[v][p - n] + pi[p] if v < n else pi[p] - cl[p][v - n]
+    def arcs() -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of each node's parent arc, for nodes 1 .. N - 1."""
+        node, up = np.arange(1, N), np.array(parent[1:])
+        is_row = node < n
+        return np.where(is_row, node, up), np.where(is_row, up, node) - n
 
-    pi = [0.0] * (n + m)
-    for v in sorted(range(1, n + m), key=depth.__getitem__):
-        pi[v] = potential(v)
-    flow = _tree_flows(parent, depth, mass)
+    def potentials() -> np.ndarray:
+        """pi from the tree: each node's from its parent's, in preorder."""
+        arc = [0.0, *c[arcs()].tolist()]
+        pi = [0.0] * N
+        for v in order[1:].tolist():
+            p = parent[v]
+            pi[v] = arc[v] + pi[p] if v < n else pi[p] - arc[v]
+        return np.array(pi)
+
+    pi, exact = potentials(), True
+    flow = _tree_flows(parent, thread, mass)
 
     shifted = c + 1e-12 * (1.0 + np.abs(c))  # the entering test as "< 0"
     reduced = np.empty_like(c)
-    cand_i = cand_j = np.zeros(0, dtype=int)
+    cand_i = np.zeros(0, dtype=int)
     cand_pivots = 0
     for _ in range(n * m + 10 * (n + m)):
-        P = np.array(pi)
         cell = None
         if cand_pivots < _CANDIDATE_PIVOTS and cand_i.size:
-            price = shifted[cand_i, cand_j] - P[cand_i] + P[n + cand_j]
+            price = cand_cost - pi[cand_i] + pi[cand_col]
             best = int(price.argmin())
             if price[best] < 0.0:
                 cell, cand_pivots = (int(cand_i[best]), int(cand_j[best])), cand_pivots + 1
         if cell is None:
-            np.subtract(shifted, P[:n, None], out=reduced)
-            reduced += P[n:]
+            # pi_i is one constant along row i: subtract it from the best only
+            np.add(shifted, pi[n:], out=reduced)
             row_best = reduced.argmin(axis=1)
-            row_price = reduced[np.arange(n), row_best]
+            row_price = reduced[np.arange(n), row_best] - pi[:n]
             cand_i = np.flatnonzero(row_price < 0.0)
             if cand_i.size == 0:
-                break
+                if exact:
+                    break
+                pi, exact = potentials(), True
+                continue
             cand_j, cand_pivots = row_best[cand_i], 0
+            cand_col, cand_cost = n + cand_j, shifted[cand_i, cand_j]
             best = int(row_price[cand_i].argmin())
             cell = (int(cand_i[best]), int(cand_j[best]))
 
@@ -394,7 +423,7 @@ def _transport_simplex(supply, demand, cost) -> np.ndarray:
         k_path, l_path = [], []
         a, b = k, l
         while a != b:
-            if depth[a] >= depth[b]:
+            if size[a] <= size[b]:
                 k_path.append(a)
                 a = parent[a]
             else:
@@ -413,47 +442,57 @@ def _transport_simplex(supply, demand, cost) -> np.ndarray:
             if flow[l_path[s]] <= theta_l:
                 theta_l, leave_l = flow[l_path[s]], s
         if theta_l <= theta_k:
-            theta, path, q, e, f = theta_l, l_path, leave_l, l, k
+            theta, path, q, e, f, other = theta_l, l_path, leave_l, l, k, k_path
         else:
-            theta, path, q, e, f = theta_k, k_path, leave_k, k, l
+            theta, path, q, e, f, other = theta_k, k_path, leave_k, k, l, l_path
         theta = max(theta, 0.0)
         if theta > 0.0:
             for side in (k_path, l_path):
                 for s, v in enumerate(side):
                     flow[v] += theta if s % 2 else -theta
 
-        # drop the arc above path[q], reverse the path e .. path[q] and hang
-        # it from f by the entering arc
-        children[parent[path[q]]].remove(path[q])
+        # the subtree cut off below path[q], re-rooted at e: e's subtree,
+        # then each stem node's subtree less the one before; moved to just
+        # after f, shifting what lies between
+        stem = path[:q + 1]
+        at = pos[stem].tolist()
+        B, lo, to = size[path[q]], at[q], int(pos[f]) + 1
+        pieces = [order[at[0]:at[0] + size[e]]]
+        for s in range(1, q + 1):
+            pieces += [order[at[s]:at[s - 1]],
+                       order[at[s - 1] + size[stem[s - 1]]:at[s] + size[stem[s]]]]
+        if to < lo:
+            start, moved = to, np.concatenate(pieces + [order[to:lo]])
+            block = moved[:B]
+        else:
+            start, moved = lo, np.concatenate([order[lo + B:to]] + pieces)
+            block = moved[-B:]
+        order[start:start + moved.size] = moved
+        pos[moved] = index[start:start + moved.size]
+        r = c[cell] - pi[k] + pi[l]  # the entering cell's reduced cost
+        pi[block] += r if e < n else -r
+        exact = False
+
+        for v in path[q + 1:]:
+            size[v] -= B
+        for v in other:
+            size[v] += B
         for s in range(q, 0, -1):
             v, w = path[s], path[s - 1]
-            children[v].remove(w)
-            children[w].append(v)
-            parent[v], flow[v] = w, flow[w]
-        parent[e], flow[e] = f, theta
-        children[f].append(e)
-        stack = [e]
-        while stack:
-            v = stack.pop()
-            depth[v] = depth[parent[v]] + 1
-            pi[v] = potential(v)
-            stack.extend(children[v])
+            parent[v], flow[v], size[v] = w, flow[w], B - size[w]
+        parent[e], flow[e], size[e] = f, theta, B
     else:
         raise InputError("transport simplex iteration limit exceeded")
 
-    flow = _tree_flows(parent, depth, mass)
-    node = np.arange(1, n + m)  # every node but the root has a parent arc
-    up = np.array(parent[1:])
-    is_row = node < n
-    i = np.where(is_row, node, up)
-    j = np.where(is_row, up, node) - n
+    flow = _tree_flows(parent, order.tolist(), mass)
+    i, j = arcs()
     plan[rows[i], cols[j]] = np.maximum(np.array(flow[1:]), 0.0)
     return plan
 
 
-def _greedy_tree(mass: list, c: np.ndarray) -> tuple[list, list, list]:
-    """(parent, depth, children) of the least-cost basis of the positive
-    masses (n rows, then m columns) at the (n, m) cost c, rooted at row 0.
+def _greedy_tree(mass: list, c: np.ndarray) -> tuple[list, list]:
+    """(parent, preorder) of the least-cost basis of the positive masses
+    (n rows, then m columns) at the (n, m) cost c, rooted at row 0.
 
     Cells are taken in order of cost (stable), skipping closed rows and
     columns; each closes its row or its column, whichever has less mass
@@ -461,7 +500,9 @@ def _greedy_tree(mass: list, c: np.ndarray) -> tuple[list, list, list]:
     (value, eps coefficient): +eps for each row but row 0, -eps for each
     column and -(n + m - 1) eps for row 0. No cell but the last then
     empties its row and column at once, and every arc of zero flow points
-    toward row 0: the tree is strongly feasible.
+    toward row 0: the tree is strongly feasible. The sorted cells are read
+    in chunks of doubling length, each first cleared in numpy of the cells
+    whose row or column an earlier chunk closed.
     """
     n, m = c.shape
     N = n + m
@@ -471,39 +512,46 @@ def _greedy_tree(mass: list, c: np.ndarray) -> tuple[list, list, list]:
     closed = [False] * N
     adjacent = [[] for _ in range(N)]
     taken = 0
-    for cell in np.argsort(c, axis=None, kind="stable").tolist():
-        if taken == N - 1:
-            break
-        i, j = divmod(cell, m)
-        a, b = i, n + j
-        if closed[a] or closed[b]:
-            continue
-        adjacent[a].append(b)
-        adjacent[b].append(a)
-        taken += 1
-        (xa, ea), (xb, eb) = left[a], left[b]
-        if ((xa, ea) <= (xb, eb) and open_rows > 1) or open_cols == 1:
-            closed[a], left[b], open_rows = True, (xb - xa, eb - ea), open_rows - 1
-        else:
-            closed[b], left[a], open_cols = True, (xa - xb, ea - eb), open_cols - 1
-    parent, depth = [-1] * N, [0] * N
-    children = [[] for _ in range(N)]
-    order = [0]
-    for v in order:  # breadth first from row 0
+    cells = np.argsort(c, axis=None, kind="stable")
+    start, chunk = 0, N
+    while taken < N - 1:
+        i, j = np.divmod(cells[start:start + chunk], m)
+        start, chunk = start + chunk, 2 * chunk
+        shut = np.array(closed)
+        keep = ~(shut[i] | shut[n + j])
+        for a, b in zip(i[keep].tolist(), (n + j[keep]).tolist()):
+            if closed[a] or closed[b]:
+                continue
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+            taken += 1
+            (xa, ea), (xb, eb) = left[a], left[b]
+            if ((xa, ea) <= (xb, eb) and open_rows > 1) or open_cols == 1:
+                closed[a], left[b], open_rows = True, (xb - xa, eb - ea), open_rows - 1
+            else:
+                closed[b], left[a], open_cols = True, (xa - xb, ea - eb), open_cols - 1
+            if taken == N - 1:
+                break
+    parent, thread, stack = [-1] * N, [], [0]
+    while stack:  # depth first from row 0
+        v = stack.pop()
+        thread.append(v)
         for w in adjacent[v]:
             if w != parent[v]:
-                parent[w], depth[w] = v, depth[v] + 1
-                children[v].append(w)
-                order.append(w)
-    return parent, depth, children
+                parent[w] = v
+                stack.append(w)
+    return parent, thread
 
 
-def _tree_flows(parent: list, depth: list, mass: list) -> list:
-    """Flow on the arc from each node to its parent (0.0 at the root),
-    by leaf elimination: deepest nodes first (ties by index), each passes
-    the mass it has left to its parent. A row's left-over supply goes up
-    to its column parent; a column's unmet demand comes from its row
-    parent."""
+def _tree_flows(parent: list, thread: list, mass: list) -> list:
+    """Flow on the arc from each node to its parent (0.0 at the root) of
+    the tree with the preorder `thread`, by leaf elimination: deepest nodes
+    first (ties by index), each passes the mass it has left to its parent.
+    A row's left-over supply goes up to its column parent; a column's
+    unmet demand comes from its row parent."""
+    depth = [0] * len(mass)
+    for v in thread[1:]:
+        depth[v] = depth[parent[v]] + 1
     left = list(mass)
     flow = [0.0] * len(mass)
     for v in sorted(range(len(mass)), key=depth.__getitem__, reverse=True):
@@ -512,4 +560,3 @@ def _tree_flows(parent: list, depth: list, mass: list) -> list:
             flow[v] = left[v]
             left[p] -= left[v]
     return flow
-

@@ -7,10 +7,12 @@ The assignment branch (equal sizes, one mass value) is checked against
 the HiGHS LP (`_transport_lp`, kept here as the oracle), bit for bit,
 and against the enumeration; the transportation simplex, which takes
 every other instance, against the same LP at relative 1e-12 and against
-the enumeration. The assignment core that linalg loads by file is pinned
-to scipy's public linear_sum_assignment.
+the enumeration; one digest pins its plans' bytes, and the prices of its
+final tree pin its stop rule. The assignment core that linalg loads by
+file is pinned to scipy's public linear_sum_assignment.
 """
 
+import hashlib
 import itertools
 import sys
 from pathlib import Path
@@ -521,21 +523,22 @@ def test_assignment_with_ties_matches_the_lp_optimum(n):
 
 # ------------------------------------------------ the assignment core's loader
 
-def _desk_assignment_costs(monkeypatch):
-    """The costs desk document 0 (benchmark seed 7) hands the assignment."""
+def _desk_calls(monkeypatch, name):
+    """The arguments desk document 0 (benchmark seed 7) hands linalg.<name>,
+    one list of copies a call."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    costs, loaded = [], linalg.linear_sum_assignment
+    calls, solver = [], getattr(linalg, name)
 
-    def recording(cost):
-        costs.append(cost.copy())
-        return loaded(cost)
+    def recording(*args):
+        calls.append([a.copy() for a in args])
+        return solver(*args)
 
-    monkeypatch.setattr(linalg, "linear_sum_assignment", recording)
+    monkeypatch.setattr(linalg, name, recording)
     run(build_scenario(workloads.generate("desk", 7)))
-    monkeypatch.setattr(linalg, "linear_sum_assignment", loaded)
-    return costs
+    monkeypatch.setattr(linalg, name, solver)
+    return calls
 
 
 def test_loaded_assignment_matches_the_public_one_bit_for_bit(monkeypatch):
@@ -544,7 +547,7 @@ def test_loaded_assignment_matches_the_public_one_bit_for_bit(monkeypatch):
     tied, all-equal, 1x1 and 1e150-scale costs, and on every equal-size
     instance of desk document 0."""
     rng = np.random.default_rng(11)
-    desk = _desk_assignment_costs(monkeypatch)
+    desk = [cost for (cost,) in _desk_calls(monkeypatch, "linear_sum_assignment")]
     assert len(desk) == 6 and all(c.shape == (225, 225) for c in desk)
     for cost in [rng.integers(0, 3, size=(30, 30)).astype(float),
                  np.full((25, 25), 2.5), np.zeros((1, 1)),
@@ -664,25 +667,29 @@ def transport_instances(draw):
     a, b = rng.normal(size=(n, 2)) * 3.0, rng.normal(size=(m, 2)) * 3.0
     if draw(st.booleans()):  # duplicated points: tied costs
         a, b = a[np.arange(n) % ((n + 1) // 2)], b[np.arange(m) % ((m + 1) // 2)]
-    masses = []
-    for size in (n, m):
-        kind = draw(st.sampled_from(["random", "zeros", "ulp-apart"]))
-        w = rng.random(size) + 0.1
-        if kind == "zeros":
-            w[rng.random(size) < 0.4] = 0.0
-            w[rng.integers(size)] = 1.0
-        elif kind == "ulp-apart":
-            w = np.full(size, 1.0 / size)
-            w[rng.integers(size)] = np.nextafter(1.0 / size, 1.0)
-        masses.append(w / w.sum())
+    supply, demand = (_masses(rng, size, draw(st.sampled_from(["random", "zeros", "ulp-apart"])))
+                      for size in (n, m))
     cost = np.sum((b - a[:, None, :]) ** 2, axis=2)
-    return masses[0], masses[1], cost
+    return supply, demand, cost
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(transport_instances())
-def test_simplex_matches_the_lp_oracle(instance):
-    supply, demand, cost = instance
+def _masses(rng, size, kind):
+    """`size` masses summing to 1 (to an ulp): "random", "zeros" (about 40%
+    zero, one point at the largest), "ulp-apart" (one value but one mass an
+    ulp above) or "uniform"."""
+    w = rng.random(size) + 0.1
+    if kind == "zeros":
+        w[rng.random(size) < 0.4] = 0.0
+        w[rng.integers(size)] = 1.0
+    elif kind == "ulp-apart":
+        w = np.full(size, 1.0 / size)
+        w[rng.integers(size)] = np.nextafter(1.0 / size, 1.0)
+    elif kind == "uniform":
+        w = np.full(size, 1.0 / size)
+    return w / w.sum()
+
+
+def _assert_matches_the_lp(supply, demand, cost):
     plan, total = solve_transport_exact(supply, demand, cost)
     scaled = demand * (supply.sum() / demand.sum())
     lp_plan = _transport_lp(supply, scaled, cost)
@@ -690,6 +697,26 @@ def test_simplex_matches_the_lp_oracle(instance):
     assert np.all(plan >= 0)
     assert np.abs(plan.sum(axis=1) - supply).max() <= 1e-12
     assert np.abs(plan.sum(axis=0) - demand).max() <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(transport_instances())
+def test_simplex_matches_the_lp_oracle(instance):
+    _assert_matches_the_lp(*instance)
+
+
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicated"])
+@pytest.mark.parametrize("n", [100, 200])
+def test_simplex_matches_the_lp_oracle_at_desk_shapes(n, duplicates):
+    """desk's unequal instances: n uniform points against 225, where the
+    basis trees have long stems and the pivots move large blocks. With
+    duplicated points (each cloud repeats its first half) the costs tie."""
+    rng = np.random.default_rng(n + duplicates)
+    a, b = rng.normal(size=(n, 2)) * 3.0, rng.normal(size=(225, 2)) * 3.0
+    if duplicates:
+        a, b = a[np.arange(n) % (n // 2)], b[np.arange(225) % 113]
+    cost = np.sum((b - a[:, None, :]) ** 2, axis=2)
+    _assert_matches_the_lp(_masses(rng, n, "uniform"), _masses(rng, 225, "uniform"), cost)
 
 
 def test_simplex_matches_enumeration_oracle():
@@ -702,6 +729,83 @@ def test_simplex_matches_enumeration_oracle():
             plan = linalg._transport_simplex(s, d, cost)
             assert float(np.sum(plan * cost)) == pytest.approx(
                 enumerate_transport_optimum(s, d, cost), rel=1e-12, abs=1e-15)
+
+
+def _pinned_instances():
+    """200 seeded instances of 1..60 by 1..60 distinct points, every pair
+    of the four mass kinds, the demand scaled to the supply's total."""
+    rng = np.random.default_rng(29)
+    kinds = ["uniform", "random", "zeros", "ulp-apart"]
+    for t in range(200):
+        n, m = (int(x) for x in rng.integers(1, 61, size=2))
+        a, b = rng.normal(size=(n, 2)) * 3.0, rng.normal(size=(m, 2)) * 3.0
+        supply, demand = _masses(rng, n, kinds[t % 4]), _masses(rng, m, kinds[t // 4 % 4])
+        cost = np.sum((b - a[:, None, :]) ** 2, axis=2)
+        yield supply, demand * (supply.sum() / demand.sum()), cost
+
+
+# SHA-256 of the simplex's plans when its tree was walked node by node
+SIMPLEX_PLANS_SHA256 = "08476390190436e1f97c9c71dd0a050c75dfb131ca8afb0bbbce8b0174a6408b"
+
+
+def test_simplex_plans_keep_their_bytes(monkeypatch):
+    """One SHA-256 over the plans of the pinned instances and of the two
+    unequal instances desk document 0 hands the simplex, so a change to
+    the solver's upkeep cannot move a plan byte. Points are distinct:
+    tied costs (duplicated points) have several optimal bases, and an ulp
+    in a price may end at another of them, at a total a few ulps away."""
+    desk = _desk_calls(monkeypatch, "_transport_simplex")
+    assert [cost.shape for _, _, cost in desk] == [(100, 225), (200, 225)]
+    digest = hashlib.sha256()
+    for supply, demand, cost in [*_pinned_instances(), *desk]:
+        digest.update(linalg._transport_simplex(supply, demand, cost).tobytes())
+    assert digest.hexdigest() == SIMPLEX_PLANS_SHA256
+
+
+def _tree_prices(plan, cost):
+    """The entering test's prices c_ij + 1e-12 (1 + |c_ij|) - u_i + v_j
+    under the potentials of the plan's support, rooted at row 0 and each
+    derived from its parent's as the simplex derives them; None when the
+    support is not a spanning tree."""
+    n, m = cost.shape
+    rows, cols = np.nonzero(plan > 0)
+    if rows.size != n + m - 1:
+        return None
+    adjacent = [[] for _ in range(n + m)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adjacent[i].append(n + j)
+        adjacent[n + j].append(i)
+    pi, stack = [0.0] + [None] * (n + m - 1), [0]
+    while stack:
+        v = stack.pop()
+        for w in adjacent[v]:
+            if pi[w] is None:
+                pi[w] = pi[v] - cost[v, w - n] if v < n else cost[w, v - n] + pi[v]
+                stack.append(w)
+    if None in pi:
+        return None
+    pi = np.array(pi)
+    return cost + 1e-12 * (1.0 + np.abs(cost)) + pi[n:] - pi[:n, None]
+
+
+def test_simplex_stops_where_its_tree_prices_no_cell():
+    """Four clusters about 1e4 apart, points 1e-4 apart within them: costs
+    span 16 orders of magnitude, so potentials shifted pivot by pivot
+    drift past the entering tolerance. The run must still stop only where
+    the potentials derived from its final tree price no cell below it.
+    Supplies are random, so every plan is non-degenerate and its support
+    is that tree."""
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        n, m = (int(x) for x in rng.integers(20, 61, size=2))
+        centres = rng.normal(size=(4, 2)) * 1e4
+        a = centres[rng.integers(4, size=n)] + rng.normal(size=(n, 2)) * 1e-4
+        b = centres[rng.integers(4, size=m)] + rng.normal(size=(m, 2)) * 1e-4
+        supply = _masses(rng, n, "random")
+        demand = np.full(m, supply.sum() / m)
+        cost = np.sum((b - a[:, None, :]) ** 2, axis=2)
+        prices = _tree_prices(linalg._transport_simplex(supply, demand, cost), cost)
+        assert prices is not None and prices.min() >= 0.0
 
 
 def test_simplex_is_deterministic():
