@@ -134,17 +134,20 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
         raise InputError(f"missing {path}; run the scenario first")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"empty file {path}")
-        if missing := [c for c in columns if c not in header]:
-            raise InputError(f"{path}: no column {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise InputError(f"{path} line {reader.line_num}: {len(row)} cells, "
-                                 f"the header has {len(header)}")
-            rows.append(dict(zip(header, row)))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"empty file {path}")
+            if missing := [c for c in columns if c not in header]:
+                raise InputError(f"{path}: no column {', '.join(missing)}")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise InputError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                     f"the header has {len(header)}")
+                rows.append(dict(zip(header, row)))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise InputError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return rows

@@ -7,6 +7,7 @@ mass: the total of the elementwise minimum over every agent's view.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,9 +33,11 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
 
     Pairs within range are processed in ascending (r, s) order, each
     leaving both vectors at their elementwise minimum; weight vectors are
-    updated in place. Returns (exchange count, unclaimed mass), the mass
-    being the sum of the elementwise minimum over all vectors, which no
-    min-merge changes.
+    updated in place. With all-to-all communication every pair is in
+    range, and the merges leave every vector at the minimum over all of
+    them, which is written in directly. Returns (exchange count, unclaimed
+    mass), the mass being the sum of the elementwise minimum over all
+    vectors, which no min-merge changes.
     """
     if not weight_vectors:
         raise InputError("need at least one weight vector")
@@ -48,16 +51,20 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
         raise InputError("positions must be finite and of one shape")
     # the elementwise minimum over all vectors is the same before and after
     # the merges; a non-finite one is caught before any vector changes
-    unclaimed = float(np.minimum.reduce(weight_vectors).sum())
+    low = functools.reduce(np.minimum, weight_vectors)
+    unclaimed = float(low.sum())
     if not math.isfinite(unclaimed):
         raise InputError("weight vectors hold non-finite values")
-    count = 0
     n = len(weight_vectors)
+    if cfg.d_comm is None:
+        for w in weight_vectors:
+            w[:] = low
+        return n * (n - 1) // 2, unclaimed
+    count = 0
     for r in range(n):
         for s in range(r + 1, n):
-            if cfg.d_comm is not None:
-                if np.linalg.norm(np.asarray(positions[r]) - np.asarray(positions[s])) > cfg.d_comm:
-                    continue
+            if np.linalg.norm(np.asarray(positions[r]) - np.asarray(positions[s])) > cfg.d_comm:
+                continue
             np.minimum(weight_vectors[r], weight_vectors[s], out=weight_vectors[r])
             weight_vectors[s][:] = weight_vectors[r]
             count += 1

@@ -105,16 +105,19 @@ class RunResult:
 
 class _AgentCtx:
     def __init__(self, idx: int, sys: LtiSystem, x0, budget: int,
-                 weights: np.ndarray, alpha: float, grid: transport.CloudGrid):
+                 weights: np.ndarray, alpha: float, grid: transport.CloudGrid,
+                 w_max: float):
         self.idx = idx
         self.sys = sys
         self.grid = grid
+        self.w_max = w_max  # the cloud's largest weight: no view's weight grows
         self.x = np.asarray(x0, dtype=float).copy()
         self.budget = budget
         self.weights = weights
         self.alpha = alpha
         self.y = dynamics.output(sys, self.x)
         self.q_bar = self.y.copy()  # previous-step mass center, starts at y^0
+        self.block = ()  # the grid block that served the previous selection
         self.active = True
         self.masses: list[float] = []
         # (selection, W^2 at selection time, record) of the last steps, up
@@ -123,16 +126,21 @@ class _AgentCtx:
         self.outputs: list[np.ndarray] = []  # y^1, y^2, ...
 
 
-def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
+def _agent_step(ctx: _AgentCtx, k: int, unclaimed: float) -> StepRecord:
     """Stage A + dynamics step + Stage B for one active agent.
 
     The agent's view of the cloud is never empty here. Stage C leaves
     every view at or above the elementwise minimum of all views, and float
     summation is monotone, so the view holds at least the unclaimed mass,
     which exceeds REMAINING_MASS_EPS while the run goes on (run's `done`).
+    Both claims take that mass as their lower bound on the view's. Stage
+    A first tries the grid block that served the previous selection, which
+    holds its centre q_bar, and stage B the one that served stage A.
     """
     t0 = time.perf_counter()
-    selection = transport.select_local_samples(ctx.weights, ctx.grid, ctx.q_bar, ctx.alpha)
+    selection = transport.select_local_samples(ctx.weights, ctx.grid, ctx.q_bar, ctx.alpha,
+                                               mass=unclaimed, w_max=ctx.w_max,
+                                               block=ctx.block)
     alpha_used = selection.total_mass
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
     bounds = ctx.sys.input_bounds
@@ -154,13 +162,15 @@ def _agent_step(ctx: _AgentCtx, k: int) -> StepRecord:
     t1 = time.perf_counter()
     # alpha_used is a sum of this view's live weights: it exceeds their
     # total by ulps at most, and then every live weight is taken whole
-    plan = transport.weight_update(ctx.grid, ctx.weights, y_new, alpha_used)
+    plan = transport.weight_update(ctx.grid, ctx.weights, y_new, alpha_used,
+                                   mass=unclaimed, block=selection.block)
     ctx.weights[plan.indices] -= plan.gammas
     stage_b_ms = (time.perf_counter() - t1) * 1e3
 
     ctx.x = x_new
     ctx.y = y_new
     ctx.q_bar = selection.mass_center
+    ctx.block = selection.block
     ctx.masses.append(alpha_used)
     ctx.outputs.append(y_new)
 
@@ -193,16 +203,18 @@ def run(scenario: Scenario) -> RunResult:
     # so each claim ranks the cells about its centre, with the bits of
     # ranking the whole cloud
     grid = transport.CloudGrid(cloud.positions)
-    agents = [_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha, grid)
+    w_max = float(cloud.weights.max())
+    agents = [_AgentCtx(i, sys, x0, m, cloud.weights.copy(), alpha, grid, w_max)
               for i, (sys, x0, m) in enumerate(zip(scenario.systems,
                                                    scenario.initial_states,
                                                    scenario.budgets))]
+    unclaimed = float(cloud.weights.sum())  # every view is the cloud at k = 1
 
     records: list[StepRecord] = []
     global_w: list[tuple[int, float, bool]] = []
     for k in range(1, max(scenario.budgets) + 1):
         live = [a for a in agents if a.active]  # nonempty: `done` ends the loop first
-        step_records = [_agent_step(a, k) for a in live]
+        step_records = [_agent_step(a, k, unclaimed) for a in live]
 
         t2 = time.perf_counter()
         # stage B leaves each weight 0 or >= WEIGHT_SNAP; minima keep that

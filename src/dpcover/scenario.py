@@ -40,7 +40,7 @@ def _real(value, where: str, ndim: int | None = 0):
     try:  # a ragged list holds lists where numbers belong
         numbers = all(type(v) in (int, float) for v in np.array(value, dtype=object).flat)
         arr = np.asarray(value, dtype=float) if numbers else None
-    except (ValueError, OverflowError):  # huge integers
+    except (ValueError, OverflowError, RuntimeError):  # huge integers, deep nesting
         arr = None
     if arr is None or ndim not in (None, arr.ndim):
         kind = "a number" if ndim == 0 else "a nested list of numbers"
@@ -183,11 +183,14 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
 
 
 def read_document(path: Path):
-    """The JSON value in the file at path; ScenarioError names a file that is not JSON."""
+    """The JSON value in the file at path; ScenarioError names a file that
+    is not JSON or nests too deeply for the parser."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or not UTF-8
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def load_scenario(path) -> Scenario:

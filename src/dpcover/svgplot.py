@@ -35,10 +35,14 @@ class _Frame:
         (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0), points.max(axis=0)
         if not (np.isfinite([x_lo, x_hi, y_lo, y_hi]).all()):
             raise InputError("non-finite plot extent")
-        pad_x = (x_hi - x_lo) * 0.05 or 1.0
-        pad_y = (y_hi - y_lo) * 0.05 or 1.0
-        self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
-        self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
+        with np.errstate(over="ignore"):
+            pad_x = (x_hi - x_lo) * 0.05 or 1.0
+            pad_y = (y_hi - y_lo) * 0.05 or 1.0
+            self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
+            self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
+            spans = (self.x_hi - self.x_lo, self.y_hi - self.y_lo)
+        if not np.isfinite(spans).all():
+            raise InputError("plot extent overflows")
 
     def x(self, v):
         return MARGIN + (v - self.x_lo) / (self.x_hi - self.x_lo) * (WIDTH - 2 * MARGIN)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class LocalSelection:
 
     taken[i] is the mass claimed from sample index indices[i]; the claimed
     masses sum to the agent-point mass, or to the total remaining mass when
-    the cloud is nearly exhausted (exhausted flag set).
+    the cloud is nearly exhausted (exhausted flag set). `block` may serve
+    as the first block of a later claim on the same grid.
     """
 
     indices: np.ndarray      # (k,) sample indices, selection order
@@ -31,6 +33,8 @@ class LocalSelection:
     points: np.ndarray       # (k, 2) positions of the selected samples
     mass_center: np.ndarray  # (2,)
     exhausted: bool = False
+    # the grid Block that served the claim, () for a whole-cloud fill
+    block: tuple = ()
 
     @property
     def total_mass(self) -> float:
@@ -79,11 +83,11 @@ def _take(weights, keys, head, demand: float):
     samples in ascending index that every other live sample ranks after:
     sorted stably by key, each taken whole and the last partially until
     the demand is met, or all of them whole (exhausted)."""
-    order = head[np.argsort(keys[head], kind="stable")]
-    cum = np.cumsum(weights[order])
+    order = head[keys[head].argsort(kind="stable")]
+    cum = weights[order].cumsum()
     target = demand - 1e-15
     exhausted = cum[-1] < target
-    n_take = order.size if exhausted else int(np.searchsorted(cum, target)) + 1
+    n_take = order.size if exhausted else int(cum.searchsorted(target)) + 1
     taken = weights[order[:n_take]]
     if not exhausted:
         taken[-1] = demand - (cum[n_take - 1] - taken[-1])
@@ -130,26 +134,46 @@ class CloudGrid:
         self.x_before, self.x_after = _edges(positions[:, 0], ix, self.nx)
         self.y_before, self.y_after = _edges(positions[:, 1], iy, self.ny)
 
-    def block(self, center, half: float) -> tuple[np.ndarray, float]:
-        """(samples, gap): the samples of the cells that meet the square of
-        half-width `half` about `center`, in ascending index, and a gap such
-        that every other sample j has |fl(q_j - center)| >= gap on one axis
-        (gap 0 when the centre lies beyond the block's outer samples).
-        The square is clipped to the grid, so a far centre gets the cells
-        at the border nearest it."""
-        cx, cy = center.tolist()
-        # any cells make a valid block: the gap reads the samples themselves
+    def cells(self, center, half: float) -> tuple[int, int, int, int]:
+        """(ix0, ix1, iy0, iy1): the first and last column and row of the
+        cells that meet the square of half-width `half` about `center`, a
+        pair of floats. The square is clipped to the grid, so a far centre
+        gets the cells at the border nearest it."""
+        cx, cy = center
         lx, ly, h = self.lo[0], self.lo[1], self.h
-        ix0 = int(min(max((cx - half - lx) / h, 0.0), self.nx - 1.0))
-        ix1 = int(min(max((cx + half - lx) / h, 0.0), self.nx - 1.0))
-        iy0 = int(min(max((cy - half - ly) / h, 0.0), self.ny - 1.0))
-        iy1 = int(min(max((cy + half - ly) / h, 0.0), self.ny - 1.0))
+        return (int(min(max((cx - half - lx) / h, 0.0), self.nx - 1.0)),
+                int(min(max((cx + half - lx) / h, 0.0), self.nx - 1.0)),
+                int(min(max((cy - half - ly) / h, 0.0), self.ny - 1.0)),
+                int(min(max((cy + half - ly) / h, 0.0), self.ny - 1.0)))
+
+    def block(self, cells) -> Block:
+        """The Block of the cells (ix0, ix1, iy0, iy1): their samples in
+        ascending index, and those samples' positions."""
+        ix0, ix1, iy0, iy1 = cells
         starts, order, nx = self.starts, self.order, self.nx
         samples = np.sort(np.concatenate([order[starts[row + ix0]:starts[row + ix1 + 1]]
                                           for row in range(iy0 * nx, iy1 * nx + 1, nx)]))
+        return Block(cells, samples, self.positions.take(samples, axis=0))
+
+    def gap(self, cells, center) -> float:
+        """A gap such that every sample outside the cells (ix0, ix1, iy0,
+        iy1) has |fl(q_j - center)| >= gap on one axis, for `center` a pair
+        of floats; 0 when the centre lies beyond the cells' outer samples.
+        Any cells make a valid block: the gap reads the samples themselves."""
+        ix0, ix1, iy0, iy1 = cells
+        cx, cy = center
         gap = min(cx - self.x_before[ix0], self.x_after[ix1] - cx,
                   cy - self.y_before[iy0], self.y_after[iy1] - cy)
-        return samples, max(gap, 0.0)
+        return max(gap, 0.0)
+
+
+class Block(NamedTuple):
+    """A rectangle of a CloudGrid's cells and the samples they hold, as
+    CloudGrid.block gathers it."""
+
+    cells: tuple[int, int, int, int]  # (ix0, ix1, iy0, iy1), CloudGrid.cells
+    samples: np.ndarray               # (k,) sample indices, ascending
+    points: np.ndarray                # (k, 2) their positions
 
 
 def _edges(coord, cell, size: int) -> tuple[list[float], list[float]]:
@@ -186,7 +210,8 @@ def _squared_distances(points, center):
     """The one squared-distance kernel: (N, 2) points to one (2,) centre,
     (N,), or to an (m, 1, 2) block of centres, (m, N)."""
     d = points - center
-    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    d *= d
+    return d[..., 0] + d[..., 1]
 
 
 def _keys(d2, weights, weighted: bool):
@@ -199,62 +224,92 @@ def _keys(d2, weights, weighted: bool):
         return np.sqrt(d2) / weights
 
 
-def _claim(grid: CloudGrid, weights, center, demand: float, weighted: bool):
-    """_fill_nearest over the whole cloud keyed by _keys, bit for bit.
+def _blocks(grid: CloudGrid, weights, center, demand: float, mass, first):
+    """The blocks a grid claim tries, in order, when demand < mass (by
+    default the weights' sum): `first` if given, then the cells about
+    `center` (a pair of floats) that hold about _BLOCK_MASS times the
+    demand at the mean density mass / cells, their half-width then doubled
+    _GROWS times."""
+    if mass is None:
+        mass = weights.sum()
+    if not demand < mass:
+        return
+    if first:
+        yield first
+    half = 0.5 * grid.h * math.sqrt(_BLOCK_MASS * demand / mass * grid.nx * grid.ny)
+    for _ in range(_GROWS + 1):
+        yield grid.block(grid.cells(center, half))
+        half *= 2.0
 
-    When the grid has cells, it first looks at a block of them about
-    `center` holding about _BLOCK_MASS times the demand at the view's mean
-    density. No sample outside the block has a key below bound =
-    _keys(gap**2, the largest weight), since fl rounding is monotone, so
-    the block's live samples keyed below the bound are a head of the whole
-    cloud's stable order; when they hold the demand, the fill along them
-    is the whole cloud's. Else the block widens, up to _GROWS times, and
-    then the whole cloud is filled, the one path to exhaustion and
-    ExhaustionError.
+
+def _claim(grid: CloudGrid, weights, center, demand: float, weighted: bool,
+           mass=None, w_max=None, first=()):
+    """(indices, taken, exhausted, block): _fill_nearest over the whole
+    cloud keyed by _keys, bit for bit, and the Block that served it, () for
+    a whole-cloud fill.
+
+    When the grid has cells, it tries the _blocks in turn. No sample
+    outside a block has a key below bound = _keys(gap**2, w_max), since fl
+    rounding is monotone and w_max (by default the largest weight) is at
+    least every weight, so the block's live samples keyed below the bound
+    are a head of the whole cloud's stable order; when they hold the
+    demand, the fill along them is the whole cloud's. Else the whole cloud
+    is filled, the one path to exhaustion and ExhaustionError. A `mass`
+    below the weights' sum only widens the first block or sends a claim to
+    the whole cloud sooner, and a w_max above the largest weight only
+    lowers the bound.
     """
-    positions = grid.positions
-    if grid.order is not None and demand < (total := weights.sum()):
-        w_max = float(weights.max()) if weighted else 1.0
-        half = 0.5 * grid.h * math.sqrt(_BLOCK_MASS * demand / total * grid.nx * grid.ny)
-        for _ in range(_GROWS + 1):
-            samples, gap = grid.block(center, half)
+    if grid.order is not None:
+        xy = center.tolist()
+        for block in _blocks(grid, weights, xy, demand, mass, first):
+            if weighted and w_max is None:
+                w_max = float(weights.max()) or math.inf  # no live weight, no head
+            gap = grid.gap(block.cells, xy)
             # _keys(gap * gap, w_max) in the keys' own float operations
             bound = math.sqrt(gap * gap) / w_max if weighted else gap * gap
-            w = weights.take(samples)
-            keys = _keys(_squared_distances(positions.take(samples, axis=0), center), w,
-                         weighted)
-            head = np.flatnonzero((w > 0) & (keys < bound))
+            w = weights.take(block.samples)
+            keys = _keys(_squared_distances(block.points, center), w, weighted)
+            head = ((w > 0) & (keys < bound)).nonzero()[0]
             if head.size:
                 idx, taken, exhausted = _take(w, keys, head, demand)
                 if not exhausted:
-                    return samples[idx], taken, False
-            half *= 2.0
-    return _fill_nearest(weights, _keys(_squared_distances(positions, center), weights,
-                                        weighted), demand)
+                    return block.samples[idx], taken, False, block
+    return (*_fill_nearest(weights, _keys(_squared_distances(grid.positions, center),
+                                          weights, weighted), demand), ())
 
 
-def select_local_samples(weights, positions, prev_center, alpha: float) -> LocalSelection:
+def select_local_samples(weights, positions, prev_center, alpha: float, *,
+                         mass: float | None = None, w_max: float | None = None,
+                         block: tuple = ()) -> LocalSelection:
     """Greedy selection by ascending weight-normalized Euclidean distance.
 
     d_j = ||q_j - prev_center|| / beta_j over beta_j > 0; points are taken
     in ascending d_j (ties broken by ascending index), the last one
     partially, until the claimed mass reaches alpha or the weights run out.
-    positions is an (N, 2) array or the cloud's CloudGrid.
+    positions is an (N, 2) array or the cloud's CloudGrid. A caller that
+    knows them may pass `mass`, at most the weights' sum, `w_max`, at
+    least their largest, and `block`, a Block that a claim on the same
+    grid recorded, to try first; each changes the time of the claim, not
+    its result.
     """
     grid, weights = _as_cloud(positions, weights)
     if not 0 < alpha < math.inf:
         raise InputError("alpha must be positive and finite")
+    if w_max is not None and not w_max > 0:
+        raise InputError("w_max must be positive")
     prev_center = check_finite(prev_center, 2, "prev_center")
     # every take is > 0: a whole take is a live weight, and the fill stops at
     # the first cum >= alpha - 1e-15, so a partial one is > 1e-15 - ulp
-    idx, taken, exhausted = _claim(grid, weights, prev_center, alpha, True)
+    idx, taken, exhausted, served = _claim(grid, weights, prev_center, alpha, True,
+                                           mass, w_max, block)
     pts = grid.positions[idx]
     center = (taken @ pts) / taken.sum()
     return LocalSelection(indices=idx, taken=taken, points=pts,
-                          mass_center=center, exhausted=exhausted)
+                          mass_center=center, exhausted=exhausted, block=served)
 
 
-def weight_update(positions, weights, agent_pos, alpha_next: float) -> TransportPlan:
+def weight_update(positions, weights, agent_pos, alpha_next: float, *,
+                  mass: float | None = None, block: tuple = ()) -> TransportPlan:
     """Optimal plan moving alpha_next of mass onto the agent's new position.
 
     The LP (minimize sum gamma_j ||y - q_j||^2 s.t. 0 <= gamma <= beta,
@@ -263,7 +318,8 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     ties broken by ascending index; alpha_next = 0 claims nothing. A last
     take that would leave less than WEIGHT_SNAP takes the weight whole.
     ExhaustionError if alpha_next exceeds the live mass by over 1e-12.
-    positions is an (N, 2) array or the cloud's CloudGrid.
+    positions is an (N, 2) array or the cloud's CloudGrid; `mass` and
+    `block` are select_local_samples' hints.
     """
     grid, weights = _as_cloud(positions, weights)
     if not 0 <= alpha_next < math.inf:
@@ -271,7 +327,8 @@ def weight_update(positions, weights, agent_pos, alpha_next: float) -> Transport
     agent_pos = check_finite(agent_pos, 2, "agent_pos")
     if alpha_next == 0:
         return TransportPlan(np.empty(0, dtype=np.intp), np.empty(0))
-    idx, fill, exhausted = _claim(grid, weights, agent_pos, alpha_next, False)
+    idx, fill, exhausted, _ = _claim(grid, weights, agent_pos, alpha_next, False, mass,
+                                     None, block)
     if exhausted and alpha_next > fill.sum() + 1e-12:
         raise ExhaustionError("demanded mass exceeds remaining sample mass")
     if weights[idx[-1]] - fill[-1] < WEIGHT_SNAP:

@@ -152,6 +152,16 @@ def test_run_and_validate_name_a_file_that_is_not_json(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_and_validate_reject_json_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run_cli("run", "--scenario", path, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: invalid JSON in {path}: nested too deeply\n"
+    assert run_cli("validate", "--scenario", path) == 1
+    assert capsys.readouterr().err == f"invalid: invalid JSON in {path}: nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_write_failure_is_an_error_not_a_traceback(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     (out / "metrics.csv").mkdir(parents=True)
@@ -451,6 +461,34 @@ def test_plot_short_row_is_an_error_not_a_traceback(kind, scenario_file, tmp_pat
     assert f"{path} line 2: 2 cells" in err
     assert "Traceback" not in err
     assert not (out / f"{kind}.svg").exists()
+
+
+def test_plot_oversized_csv_field_is_an_error_not_a_traceback(scenario_file, tmp_path,
+                                                              capsys):
+    """A field longer than the csv module's limit (131072 characters)."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    path = out / "global_w.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(2, "9,1" + "0" * 140000 + ",0")
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", "globalw") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} line 3: field larger than field limit")
+    assert not (out / "globalw.svg").exists()
+
+
+def test_plot_extent_that_overflows_is_an_error(scenario_file, tmp_path, capsys):
+    """Two finite W2 values whose span overflows would map every point to
+    NaN and label the axis inf."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    (out / "global_w.csv").write_text("k,w2,subsampled\n1,1e308,0\n2,-1e308,0\n")
+    capsys.readouterr()
+    assert run_cli("plot", "--out", out, "--kind", "globalw") == 1
+    assert capsys.readouterr().err == "error: plot extent overflows\n"
+    assert not (out / "globalw.svg").exists()
 
 
 def test_plot_write_failure_is_an_error_not_a_traceback(scenario_file, tmp_path,

@@ -216,6 +216,50 @@ def test_default_shaped_claims_rarely_rank_the_whole_cloud(monkeypatch):
     assert len(whole) < 0.1 * claims
 
 
+def test_a_grid_run_gathers_about_one_block_a_step_and_never_passes_over_a_view(
+        monkeypatch):
+    """On the default scenario's cloud, the engine hands each claim its
+    bounds (the unclaimed mass, the cloud's largest weight) and a block to
+    try first: a claim makes no whole-view sum or max, and the agent-steps
+    gather at most 1.25 blocks each."""
+    doc = json.loads((SCENARIO_DIR / "first_order_default.json").read_text())
+    for agent in doc["agents"]:
+        agent["M"] = 20
+    scenario = build_scenario(doc, base_dir=SCENARIO_DIR)
+    n = scenario.cloud.n_points
+    assert n >= transport.GRID_MIN_SAMPLES
+    gathers, passes = [], []
+    block = transport.CloudGrid.block
+
+    def counting_block(self, *args):
+        gathers.append(args)
+        return block(self, *args)
+
+    class View(np.ndarray):
+        """The weights as a claim sees them, counting whole-view passes."""
+
+        def sum(self, *args, **kwargs):
+            passes.extend(["sum"] * (self.size == n))
+            return np.asarray(self).sum(*args, **kwargs)
+
+        def max(self, *args, **kwargs):
+            passes.extend(["max"] * (self.size == n))
+            return np.asarray(self).max(*args, **kwargs)
+
+    claim = transport._claim
+
+    def counting_claim(grid, weights, *args, **kwargs):
+        result = claim(grid, weights.view(View), *args, **kwargs)
+        return tuple(np.asarray(r) if isinstance(r, View) else r for r in result)
+
+    monkeypatch.setattr(transport.CloudGrid, "block", counting_block)
+    monkeypatch.setattr(transport, "_claim", counting_claim)
+    result = run(scenario)
+    assert len(result.records) == 60
+    assert passes == []
+    assert len(gathers) <= 1.25 * len(result.records)
+
+
 # ------------------------------------------------------------------ validation
 
 def test_scenario_alignment_checks():

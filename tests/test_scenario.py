@@ -339,6 +339,9 @@ def _quadrotor_doc(**params):
      "component 0: mean must hold 2"),
     (_with(("reference", "mixture", "components", 0, "cov"), [[2.0]]),
      "component 0: cov must be 2 x 2"),
+    # nested past numpy's 32 dimensions, where np.array raises RuntimeError
+    (_with(("agents", 0, "initial_state"), json.loads("[" * 40 + "1" + "]" * 40)),
+     r"agents\[0\].initial_state must be a nested list of numbers"),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
         "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
         "u-max-inf", "cu-str", "components-int", "system-int", "agent-system-int",
@@ -352,7 +355,7 @@ def _quadrotor_doc(**params):
         "mean-bool", "cov-bool", "domain-bool", "domain-inf", "d-comm-bool",
         "d-comm-inf", "comm-unknown-key", "u-max-bool", "cu-bool", "du-bool",
         "budget-total-overflows", "domain-three-numbers", "mean-three-numbers",
-        "cov-one-by-one"])
+        "cov-one-by-one", "initial-state-nested-deep"])
 def test_malformed_document_is_a_scenario_error(doc, match, tmp_path, capsys):
     with pytest.raises(ScenarioError, match=match):
         build_scenario(doc)

@@ -632,6 +632,22 @@ def _whole_cloud_claim(positions, weights, centre, demand, weighted):
     return TransportPlan(idx, taken)
 
 
+def test_claim_hints_that_break_their_bounds_raise_typed_errors(rng):
+    """A mass floor above a spent cloud's mass, and a weight ceiling that is
+    not positive, end in ExhaustionError and InputError, not in a division
+    by zero."""
+    n = GRID_MIN_SAMPLES
+    grid = CloudGrid(rng.uniform(0.0, 10.0, size=(n, 2)))
+    centre = np.array([5.0, 5.0])
+    with pytest.raises(ExhaustionError):
+        select_local_samples(np.zeros(n), grid, centre, 1e-3, mass=1.0)
+    with pytest.raises(ExhaustionError):
+        weight_update(grid, np.zeros(n), centre, 1e-3, mass=1.0)
+    for w_max in (0.0, -1.0, np.nan):
+        with pytest.raises(InputError, match="w_max must be positive"):
+            select_local_samples(np.full(n, 1.0 / n), grid, centre, 1e-3, w_max=w_max)
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.sampled_from([1, 3, 600, GRID_MIN_SAMPLES, 3001]),
        st.sampled_from(["uniform", "clusters", "duplicates", "collinear", "identical"]),
@@ -655,7 +671,10 @@ def test_grid_claims_equal_whole_cloud_fills(n, layout, state, where, demand_kin
     or more take the grid's blocks. The "duplicates" "lattice" "boundary"
     examples put a sample outside the first block on a key equal to its
     bound, where a claim that ranked it after an equal key inside the
-    block would take the wrong sample."""
+    block would take the wrong sample. So do the grid claims given the
+    engine's hints: a mass floor, exact or half the view's mass, a weight
+    ceiling above the largest weight, and a first block that served
+    another claim at an unrelated centre."""
     rng = np.random.default_rng(seed)
     positions = {"uniform": lambda: rng.uniform(-50.0, 50.0, size=(n, 2)),
                  "clusters": lambda: (rng.normal(0.0, 2.0, size=(n, 2))
@@ -697,9 +716,16 @@ def test_grid_claims_equal_whole_cloud_fills(n, layout, state, where, demand_kin
               "beyond": lambda: 1.5 * total}[demand_kind]() if live.size else 1.0 / n
     grid = CloudGrid(positions)
     assert (grid.order is not None) == (n >= GRID_MIN_SAMPLES)
-    for weighted, claim in ((True, lambda p: select_local_samples(weights, p, centre, demand)),
-                            (False, lambda p: weight_update(p, weights, centre, demand))):
+    foreign = select_local_samples(np.full(n, 1.0 / n), grid, rng.uniform(lo, hi),
+                                   float(rng.uniform(1.0, 20.0)) / n).block
+    ceiling = 2.0 * float(weights.max()) or 1.0
+    hints = [{}, {"mass": total}, {"mass": 0.5 * total}, {"w_max": ceiling},
+             {"block": foreign}, {"mass": 0.5 * total, "w_max": ceiling, "block": foreign}]
+    for weighted, claim in (
+            (True, lambda p, **h: select_local_samples(weights, p, centre, demand, **h)),
+            (False, lambda p, w_max=None, **h: weight_update(p, weights, centre, demand, **h))):
         want = _bits(_outcome(lambda: _whole_cloud_claim(positions, weights, centre, demand,
                                                          weighted)))
-        assert _bits(_outcome(lambda: claim(grid))) == want
+        for hint in hints:
+            assert _bits(_outcome(lambda: claim(grid, **hint))) == want, hint
         assert _bits(_outcome(lambda: claim(positions))) == want
