@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
         scenario = build_scenario(doc, base_dir=path.parent)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError) as exc:  # bad document, file, override or --out
+    except (ScenarioError, OSError) as exc:  # bad document, file, override or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

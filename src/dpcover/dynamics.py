@@ -90,7 +90,7 @@ class LtiSystem:
         fields = {"A": A, "B": B, "C": C}
         if self.state_bounds is not None:
             sb = np.array(self.state_bounds, dtype=float)
-            if sb.shape != (n, 2) or np.any(sb[:, 0] > sb[:, 1]):
+            if sb.shape != (n, 2) or not np.all(sb[:, 0] <= sb[:, 1]):  # NaN fails
                 raise InputError("state_bounds must be (n, 2) with lo <= hi")
             fields["state_bounds"] = sb
         P = relative_degree(A, B, C)

@@ -33,9 +33,9 @@ class Scenario:
     its system's `input_bounds` (None: unconstrained). Construction is the
     one check of each agent's initial_state length and budget M, of the
     total budget, whose inverse is the claim size, and of each initial
-    output C x0 lying with the reference positions in a box of finite
-    squared diagonal (errors.check_points), so no W2 or gain cost
-    overflows."""
+    output C x0 and its P-step prediction C A^P x0 lying with the reference
+    positions in a box of finite squared diagonal (errors.check_points), so
+    no W2 or first-step gain cost overflows."""
 
     systems: list[LtiSystem]          # one per agent
     initial_states: list[np.ndarray]  # (n_r,) each
@@ -65,9 +65,11 @@ class Scenario:
                                  f"its system needs ({sys.n},)")
             if sys.p != 2:
                 raise InputError(f"agents[{i}]: outputs must be planar (p = 2)")
-            y0 = dynamics.output(sys, x0)
-            check_points(np.vstack([box, y0]), f"agents[{i}]: the initial output C x0 "
-                         "and the reference positions")
+            with np.errstate(over="ignore", invalid="ignore"):  # check_points names inf
+                y0 = dynamics.output(sys, x0)
+                y_p = sys.C @ sys.A_p @ x0  # squared by the first step's gain terms
+            check_points(np.vstack([box, y0, y_p]), f"agents[{i}]: the initial output "
+                         "C x0, its P-step prediction C A^P x0 and the reference positions")
         if sum(self.budgets) > float(np.finfo(float).max):
             raise InputError("the total budget, the sum of every agent's M, must be at "
                              "most 1.8e308, so that the claim size 1 / total is a float")

@@ -107,7 +107,7 @@ def pseudo_inverse(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InputPolytope:
-    """The input set {u : Cu u <= Du}: c >= 1 rows, finite, nonempty.
+    """The input set {u : Cu u <= Du}: c >= 1 rows of finite norm, nonempty.
 
     Checked once, at construction, which keeps read-only copies of Cu and
     Du and finds `interior`, the Chebyshev centre (the centre of the
@@ -126,6 +126,9 @@ class InputPolytope:
         c_rows, m = Cu.shape
         if c_rows < 1 or m < 1 or Du.shape != (c_rows,) or not np.all(np.isfinite(Du)):
             raise InputError("Cu must be (c, m) with c, m >= 1 and Du finite of length c")
+        with np.errstate(over="ignore"):  # the Chebyshev LP's column of row norms
+            if not np.all(np.isfinite(np.linalg.norm(Cu, axis=1))):
+                raise InputError("Cu has a row whose norm overflows")
         if np.array_equal(Cu, _box_rows(m)) and Du.min() == Du.max() >= 0:
             interior = np.zeros(m)  # the box |u_i| <= b is centred at 0
         else:

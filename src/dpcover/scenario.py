@@ -7,6 +7,7 @@ and reference. See the scenarios/ directory for examples.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from .coordination import CommConfig
 from .distribution import MixtureSpec, SampleCloud, load_points, sample_mixture
 from .dynamics import LtiSystem, make_preset
 from .engine import Scenario
-from .errors import InfeasibleError, InputError, ScenarioError, check_count
+from .errors import ScenarioError, check_count
 from .linalg import InputPolytope
 
 SCHEMA_VERSION = 1
@@ -31,6 +32,19 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
     missing = required - set(obj)
     if missing:
         raise ScenarioError(f"missing required keys {sorted(missing)} in {where}")
+
+
+@contextmanager
+def _section(where: str = ""):
+    """The one rule for what a document section can cause: any error raised
+    inside, other than a ScenarioError, is re-raised as a ScenarioError
+    that starts with `where: ` (no prefix when where is empty)."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except Exception as exc:
+        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _real(value, where: str, ndim: int | None = 0):
@@ -58,20 +72,16 @@ def _build_system(spec: dict, where: str) -> LtiSystem:
             if not isinstance(params, dict):
                 raise ScenarioError(f"{where}.params must be an object")
             params = {k: _real(v, f"{where}.params.{k}") for k, v in params.items()}
-        try:
+        with _section(where):
             return make_preset(spec["preset"], dt, params)
-        except Exception as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
     _check_keys(spec, {"A", "B", "C", "dt", "state_bounds"},
                 {"A", "B", "C", "dt"}, where)
     A, B, C = (_real(spec[k], f"{where}.{k}", None) for k in "ABC")
     dt, bounds = _real(spec["dt"], f"{where}.dt"), spec.get("state_bounds")
     if bounds is not None:
         bounds = _real(bounds, f"{where}.state_bounds", 2)
-    try:
+    with _section(where):
         return LtiSystem(A=A, B=B, C=C, dt=dt, state_bounds=bounds)
-    except Exception as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleCloud:
@@ -81,10 +91,8 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
     if "file" in spec:
         if not isinstance(spec["file"], str):
             raise ScenarioError("reference.file must be a path string")
-        try:
+        with _section("reference file"):
             return load_points(base_dir / spec["file"])
-        except Exception as exc:
-            raise ScenarioError(f"reference file: {exc}") from exc
     mix = spec["mixture"]
     _check_keys(mix, {"components", "n_samples", "seed", "domain"},
                 {"components", "n_samples", "domain"}, "reference.mixture")
@@ -97,12 +105,10 @@ def _build_reference(spec: dict, base_dir: Path, default_seed: int) -> SampleClo
         comps.append(tuple(_real(comp[k], f"mixture component {i}.{k}", ndim)
                            for k, ndim in (("mean", 1), ("cov", 2), ("weight", 0))))
     domain = tuple(_real(mix["domain"], "reference.mixture.domain", 1))
-    try:
+    with _section("reference.mixture"):
         return sample_mixture(MixtureSpec(components=tuple(comps), domain=domain,
                                           n_samples=mix["n_samples"],
                                           seed=mix.get("seed", default_seed)))
-    except Exception as exc:
-        raise ScenarioError(f"reference.mixture: {exc}") from exc
 
 
 def _with_input_set(spec, systems: list[LtiSystem], where: str) -> list[LtiSystem]:
@@ -117,20 +123,17 @@ def _with_input_set(spec, systems: list[LtiSystem], where: str) -> list[LtiSyste
         u_max = _real(spec["u_max"], f"{where}.u_max")
         if not u_max > 0:
             raise ScenarioError(f"{where}: u_max must be positive")
-        return [replace(s, input_bounds=InputPolytope.box(u_max, s.m)) for s in systems]
+        with _section(where):
+            return [replace(s, input_bounds=InputPolytope.box(u_max, s.m)) for s in systems]
     if "Cu" not in spec or "Du" not in spec:
         raise ScenarioError(f"{where}: Cu and Du must be given together")
-    try:  # one polytope, and one Chebyshev LP, shared by every agent
+    with _section(where):  # one polytope, and one Chebyshev LP, shared by every agent
         polytope = InputPolytope(_real(spec["Cu"], f"{where}.Cu", 2),
                                  _real(spec["Du"], f"{where}.Du", 1))
-    except (InfeasibleError, InputError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     with_set = []
     for i, s in enumerate(systems):
-        try:  # LtiSystem checks that Cu has one column per input
+        with _section(f"{where}.Cu does not fit agents[{i}]"):  # one column per input
             with_set.append(replace(s, input_bounds=polytope))
-        except InputError as exc:
-            raise ScenarioError(f"{where}.Cu does not fit agents[{i}]: {exc}") from exc
     return with_set
 
 
@@ -141,10 +144,8 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
                 {"version", "agents", "reference"}, "scenario")
     if isinstance(doc["version"], bool) or doc["version"] != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema version {doc['version']!r}")
-    try:
+    with _section():
         seed = check_count(doc.get("seed", 0), "seed", 0)
-    except InputError as exc:
-        raise ScenarioError(str(exc)) from None
 
     default_system = doc.get("system")
     systems, states, budgets = [], [], []
@@ -166,20 +167,16 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
     comm_spec = {} if doc.get("comm") is None else doc["comm"]
     _check_keys(comm_spec, {"d_comm"}, set(), "comm")
     d_comm = comm_spec.get("d_comm")  # absent or null is all-to-all
-    try:
+    with _section("comm"):
         comm = CommConfig(None if d_comm is None else _real(d_comm, "comm.d_comm"))
-    except InputError as exc:
-        raise ScenarioError(f"comm: {exc}") from exc
 
     systems = _with_input_set(doc.get("input_constraints"), systems, "input_constraints")
 
     # engine.Scenario owns the defaults of the keys a document leaves out
     cadence = {k: doc[k] for k in ("global_w_interval", "global_w_cap") if k in doc}
-    try:
+    with _section():
         return Scenario(systems=systems, initial_states=states, budgets=budgets,
                         cloud=cloud, comm=comm, **cadence)
-    except Exception as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def read_document(path: Path):

@@ -350,10 +350,11 @@ def _reduce_cloud(points, weights, cap: int) -> tuple[np.ndarray, np.ndarray, bo
     points dropped; a cloud still above cap points is subsampled to cap
     points of equal weight 1/cap, read off the cumulative weights at the
     fixed comb (0.5 + i) / cap, i = 0 .. cap - 1. The weights are then
-    rescaled to sum to 1, so two reduced clouds balance exactly for
-    solve_transport_exact. InputError unless errors.check_points takes the
-    points and they are nonempty, with N nonnegative weights of positive,
-    finite sum.
+    rescaled to sum to 1 up to rounding: two reduced clouds' totals can
+    still differ by a few ulps, and solve_transport_exact balances them by
+    scaling the demand to the supply's total. InputError unless
+    errors.check_points takes the points and they are nonempty, with N
+    nonnegative weights of positive, finite sum.
     """
     points = check_points(points, "cloud points")
     weights = _weights_of(weights, points.shape[0])

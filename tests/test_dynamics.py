@@ -134,6 +134,17 @@ def test_step_events_clamping():
     assert not violated
 
 
+@pytest.mark.parametrize("bounds", [[[-1.0, np.nan], [-0.5, 0.5]],
+                                    [[np.nan, 1.0], [-0.5, 0.5]],
+                                    [[-1.0, 1.0], [np.nan, np.nan]]])
+def test_nan_state_bounds_rejected(bounds):
+    """lo <= hi is False for NaN; unchecked, step_events returned NaN
+    states. Infinite bounds stay legal: the quadrotor preset uses them."""
+    A, B, C = double_integrator()
+    with pytest.raises(InputError, match="lo <= hi"):
+        LtiSystem(A=A, B=B, C=C, dt=0.1, state_bounds=bounds)
+
+
 def test_quadrotor_state_bounds_attached():
     sys = make_preset("planar_quadrotor", 0.1)
     sb = sys.state_bounds

@@ -111,7 +111,13 @@ def test_polytope_box_empty_or_off_centre_takes_the_lp():
     ([[1.0, 0.0], [-1.0, 0.0]], [1.0]),
     ([[1.0, np.nan], [-1.0, 0.0]], [1.0, 1.0]),
     ([[1.0, 0.0], [-1.0, 0.0]], [1.0, np.inf]),
-], ids=["zero-rows", "du-length", "cu-nan", "du-inf"])
+    # each entry finite, the row's norm (the Chebyshev LP's last column) not:
+    # numpy warned of the overflow, then linprog raised ValueError
+    ([[1e308, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+    ([[1.0, 0.0], [-1e308, 1e308]], [1.0, 1.0]),
+    ([[1e200, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+], ids=["zero-rows", "du-length", "cu-nan", "du-inf", "cu-row-norm-1e308",
+        "cu-row-norm-two-1e308", "cu-row-norm-1e200"])
 def test_polytope_malformed_rejected(Cu, Du):
     with pytest.raises(InputError):
         InputPolytope(Cu, Du)

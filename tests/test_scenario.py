@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcover import cli, linalg
@@ -272,6 +272,24 @@ def _quadrotor_doc(**params):
     return doc
 
 
+def _custom_doc(x0=(1.0, 1.0), **system):
+    """first_order_doc() with its one agent a custom system: the 2-state,
+    2-input integrator below, with the keys in system replaced or added."""
+    doc = first_order_doc()
+    doc["system"] = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+                     "C": [[1.0, 0.0], [0.0, 1.0]], "dt": 0.1, **system}
+    doc["agents"][0]["initial_state"] = list(x0)
+    return doc
+
+
+def _double_integrator_doc(x0):
+    """_custom_doc() with a planar double integrator, P = 2, so that the
+    first step squares C A^2 x0 = position + 0.2 velocity."""
+    I2, Z2 = np.eye(2), np.zeros((2, 2))
+    return _custom_doc(x0=x0, A=np.block([[I2, 0.1 * I2], [Z2, I2]]).tolist(),
+                       B=np.vstack([Z2, 0.1 * I2]).tolist(), C=np.hstack([I2, Z2]).tolist())
+
+
 @pytest.mark.parametrize("doc, match", [(doc, None) for doc in [
     _with(("seed",), "x"),
     # an explicit mixture seed does not excuse a negative top-level seed
@@ -342,6 +360,34 @@ def _quadrotor_doc(**params):
     # nested past numpy's 32 dimensions, where np.array raises RuntimeError
     (_with(("agents", 0, "initial_state"), json.loads("[" * 40 + "1" + "]" * 40)),
      r"agents\[0\].initial_state must be a nested list of numbers"),
+    # one row per document section, each matched from the message's start
+    (_with(("seed",), 2.5), r"^seed must be an integer >= 0"),
+    (_with(("system", "preset"), "tricycle"), r"^agents\[0\]\.system: unknown preset"),
+    (_custom_doc(state_bounds=[0.0, 10.0]),
+     r"^agents\[0\]\.system\.state_bounds must be a nested list of numbers"),
+    (_custom_doc(B=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+     r"^agents\[0\]\.system: inconsistent system matrix dimensions"),
+    (_with(("reference",), {"file": "no-such-points.csv"}), r"^reference file: "),
+    (_with(("reference", "mixture", "n_samples"), 0),
+     r"^reference\.mixture: n_samples must be an integer >= 1"),
+    (first_order_doc(comm={"d_comm": -1.0}), r"^comm: d_comm must be positive"),
+    (_with(("input_constraints",), {"u_max": 0}), r"^input_constraints: u_max must be positive"),
+    (_with(("input_constraints",), {"Cu": [[1.0, 0.0]]}),
+     r"^input_constraints: Cu and Du must be given together"),
+    # each entry is finite, the row's norm is not: linprog raised ValueError
+    (_with(("input_constraints",), {"Cu": [[1e308, 0.0], [-1.0, 0.0]], "Du": [1.0, 1.0]}),
+     r"^input_constraints: Cu has a row whose norm overflows"),
+    # three outputs, and a 1-D C read as one row
+    (_custom_doc(x0=(1.0, 1.0, 1.0), A=np.eye(3).tolist(), B=np.eye(3).tolist(),
+                 C=np.eye(3).tolist()), r"^agents\[0\]: outputs must be planar"),
+    (_custom_doc(C=[1.0, 0.0]), r"^agents\[0\]: outputs must be planar"),
+    # C x0 = (1, 1) lies in the reference's box, C A^2 x0 = (2e199, 1) far from it
+    (_double_integrator_doc((1.0, 1.0, 1e200, 0.0)),
+     r"^agents\[0\]: the initial output C x0, its P-step prediction C A\^P x0 and the "
+     r"reference positions must be in a bounding box"),
+    # C A^2 x0 overflows to inf, with no RuntimeWarning from the product
+    (_double_integrator_doc((1.7e308, 1.0, 1e308, 0.0)),
+     r"^agents\[0\]: the initial output C x0, .* must be finite$"),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
         "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
         "u-max-inf", "cu-str", "components-int", "system-int", "agent-system-int",
@@ -355,7 +401,11 @@ def _quadrotor_doc(**params):
         "mean-bool", "cov-bool", "domain-bool", "domain-inf", "d-comm-bool",
         "d-comm-inf", "comm-unknown-key", "u-max-bool", "cu-bool", "du-bool",
         "budget-total-overflows", "domain-three-numbers", "mean-three-numbers",
-        "cov-one-by-one", "initial-state-nested-deep"])
+        "cov-one-by-one", "initial-state-nested-deep", "seed-float", "preset-unknown",
+        "state-bounds-flat", "custom-system-rejected", "reference-file-missing",
+        "n-samples-zero", "d-comm-negative", "u-max-zero", "cu-without-du",
+        "cu-row-norm-overflows", "outputs-three", "c-one-dimensional",
+        "prediction-far", "prediction-inf"])
 def test_malformed_document_is_a_scenario_error(doc, match, tmp_path, capsys):
     with pytest.raises(ScenarioError, match=match):
         build_scenario(doc)
@@ -369,8 +419,33 @@ def test_malformed_document_is_a_scenario_error(doc, match, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_single_input_custom_system_with_state_bounds_validates_and_runs(tmp_path,
+                                                                         capsys):
+    """A 1-D B is one input column; the document's bounds reach the system."""
+    doc = _custom_doc(B=[1.0, 1.0], state_bounds=[[0.0, 10.0], [0.0, 10.0]])
+    sc = build_scenario(doc)
+    assert sc.systems[0].m == 1
+    assert np.array_equal(sc.systems[0].state_bounds, [[0.0, 10.0], [0.0, 10.0]])
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(path)]) == 0
+    assert "agent 0: n=2 m=1 p=2 P=1" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert (out / "trajectories.csv").exists()
+
+
 FUZZ_PALETTE = (None, True, False, -1, 0, 0.5, 5, 10**400, float("nan"), float("inf"),
-                "x", [], {})
+                1e308, -1e308, 1e200, "x", [], {})
+
+
+def _examples(pairs):
+    """A decorator adding one hypothesis @example per (path, value) pair."""
+    def decorate(test):
+        for pair in pairs:
+            test = example(*pair)(test)
+        return test
+    return decorate
 
 
 def _subtree_paths(node, prefix=()):
@@ -393,6 +468,9 @@ def _fuzz_doc():
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(list(_subtree_paths(_fuzz_doc()))),
        st.sampled_from(FUZZ_PALETTE))
+# each Cu entry huge: finite, but the row's norm overflows
+@_examples([(("input_constraints", "Cu", i, j), value)
+            for i in range(3) for j in range(2) for value in (1e308, -1e308, 1e200)])
 def test_mutated_document_never_raises(path, value):
     """Any one subtree replaced by a palette value: validate answers 0 or 1,
     run 0, 1 or 2, neither raises, and run succeeds exactly when validate
