@@ -7,11 +7,12 @@ applying input u now is the quadratic
 
     dW(u) = u' D1 u + 2 D2 u + D3,
 
-with D1 = a G'G, D2 = a (x'(A^P)'C' - qbar') G, G = C A^(P-1) B, and
-D3 = a x'((A^P)'C'C A^P - C'C) x - 2 a qbar' C (A^P - I) x, where a is the
-agent-point mass and qbar the target mass center. G and A^P are fixed per
-system and derived once, as LtiSystem.G and LtiSystem.A_p. The same
-checked quadratic, GainTerms, is the objective of the constrained QP.
+with yhat = C A^P x the P-step prediction of the output y = C x,
+G = C A^(P-1) B, D1 = a G'G, D2 = a (yhat - qbar)' G and
+D3 = a (yhat'yhat - y'y) - 2 a qbar'(yhat - y), where a is the agent-point
+mass and qbar the target mass center. G and C A^P are fixed per system and
+derived once, as LtiSystem.G and LtiSystem.CA_p. The same checked
+quadratic, GainTerms, is the objective of the constrained QP.
 """
 
 from __future__ import annotations
@@ -100,12 +101,10 @@ def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
         raise InputError("alpha must be positive and finite")
     x = check_finite(x, sys.n, "x")
     q_bar = check_finite(q_bar, sys.p, "q_bar")
-    A_p, C, G = sys.A_p, sys.C, sys.G
+    G, y_hat, y = sys.G, sys.CA_p @ x, sys.C @ x
     D1 = alpha * G.T @ G
-    D2 = alpha * ((x @ A_p.T @ C.T) - q_bar) @ G
-    CA_p_x = C @ A_p @ x
-    Cx = C @ x
-    D3 = alpha * (CA_p_x @ CA_p_x - Cx @ Cx) - 2.0 * alpha * (q_bar @ (CA_p_x - Cx))
+    D2 = alpha * (y_hat - q_bar) @ G
+    D3 = alpha * (y_hat @ y_hat - y @ y) - 2.0 * alpha * (q_bar @ (y_hat - y))
     return GainTerms(D1=D1, D2=D2, D3=D3)
 
 

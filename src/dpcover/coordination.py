@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
     range, and the merges leave every vector at the minimum over all of
     them, which is written in directly. Returns (exchange count, unclaimed
     mass), the mass being the sum of the elementwise minimum over all
-    vectors, which no min-merge changes.
+    vectors, which no min-merge changes. Under a finite range each
+    position is any array of two finite numbers (errors.check_finite).
     """
     if not weight_vectors:
         raise InputError("need at least one weight vector")
@@ -45,10 +46,8 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
         raise InputError("one position per weight vector required")
     if any(np.shape(w) != np.shape(weight_vectors[0]) for w in weight_vectors):
         raise InputError("weight vectors must have equal length")
-    if cfg.d_comm is not None and (
-            any(np.shape(p) != np.shape(positions[0]) for p in positions)
-            or not np.all(np.isfinite(positions))):
-        raise InputError("positions must be finite and of one shape")
+    if cfg.d_comm is not None:
+        positions = [check_finite(p, 2, "position") for p in positions]
     # the elementwise minimum over all vectors is the same before and after
     # the merges; a non-finite one is caught before any vector changes
     low = functools.reduce(np.minimum, weight_vectors)
@@ -63,7 +62,7 @@ def sync_round(weight_vectors: list[np.ndarray], positions: list[np.ndarray],
     count = 0
     for r in range(n):
         for s in range(r + 1, n):
-            if np.linalg.norm(np.asarray(positions[r]) - np.asarray(positions[s])) > cfg.d_comm:
+            if np.linalg.norm(positions[r] - positions[s]) > cfg.d_comm:
                 continue
             np.minimum(weight_vectors[r], weight_vectors[s], out=weight_vectors[r])
             weight_vectors[s][:] = weight_vectors[r]

@@ -47,7 +47,7 @@ def relative_degree(A, B, C) -> int:
 @dataclass(frozen=True)
 class LtiSystem:
     """Immutable LTI model with optional bounds and derived constants: the
-    relative degree P, A_p = A^P and the P-step input gain G = C A^(P-1) B.
+    relative degree P, CA_p = C A^P and the P-step input gain G = C A^(P-1) B.
 
     state_bounds: (n, 2) per-component [lo, hi] on x, or None.
     input_bounds: polytope on u with one column per input, or None.
@@ -58,7 +58,7 @@ class LtiSystem:
     C: np.ndarray
     dt: float
     P: int = field(init=False)
-    A_p: np.ndarray = field(init=False, repr=False)
+    CA_p: np.ndarray = field(init=False, repr=False)
     G: np.ndarray = field(init=False, repr=False)
     state_bounds: np.ndarray | None = None
     input_bounds: InputPolytope | None = None
@@ -96,8 +96,8 @@ class LtiSystem:
         P = relative_degree(A, B, C)
         A_pm1 = np.linalg.matrix_power(A, P - 1)
         object.__setattr__(self, "P", P)
-        fields.update(A_p=A @ A_pm1, G=C @ A_pm1 @ B)
-        # read-only copies: the derived A_p and G stay those of A, B, C
+        fields.update(CA_p=C @ (A @ A_pm1), G=C @ A_pm1 @ B)  # the order sets CA_p's bits
+        # read-only copies: the derived CA_p and G stay those of A, B, C
         for name, arr in fields.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -119,12 +119,9 @@ def step_events(sys: LtiSystem, x, u) -> tuple[np.ndarray, bool]:
     """One propagation step; returns (new state, bound-violation flag).
 
     With state bounds present the raw A x + B u is clamped componentwise
-    and the flag reports whether any clamp fired.
+    and the flag reports whether any clamp fired. x and u are any arrays
+    of n and m finite numbers (errors.check_finite).
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (sys.n,) or u.shape != (sys.m,):
-        raise InputError("state/input dimension mismatch")
     x, u = check_finite(x, sys.n, "state"), check_finite(u, sys.m, "input")
     nxt = sys.A @ x + sys.B @ u
     if sys.state_bounds is None:
@@ -134,10 +131,7 @@ def step_events(sys: LtiSystem, x, u) -> tuple[np.ndarray, bool]:
 
 
 def output(sys: LtiSystem, x) -> np.ndarray:
-    """Output map y = C x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise InputError("state dimension mismatch")
+    """Output map y = C x, for x any array of n finite numbers."""
     return sys.C @ check_finite(x, sys.n, "state")
 
 

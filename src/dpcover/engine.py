@@ -67,7 +67,7 @@ class Scenario:
                 raise InputError(f"agents[{i}]: outputs must be planar (p = 2)")
             with np.errstate(over="ignore", invalid="ignore"):  # check_points names inf
                 y0 = dynamics.output(sys, x0)
-                y_p = sys.C @ sys.A_p @ x0  # squared by the first step's gain terms
+                y_p = sys.CA_p @ x0  # squared by the first step's gain terms
             check_points(np.vstack([box, y0, y_p]), f"agents[{i}]: the initial output "
                          "C x0, its P-step prediction C A^P x0 and the reference positions")
         if sum(self.budgets) > float(np.finfo(float).max):

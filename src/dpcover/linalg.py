@@ -149,8 +149,12 @@ def _box_rows(m: int) -> np.ndarray:
 
 def _chebyshev_centre(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
     """Centre of the largest ball inside Cu u <= Du, by LP; the radius is
-    capped at 1 for unbounded sets. InfeasibleError if the set is empty."""
+    capped at 1 for unbounded sets. InfeasibleError if the set is empty.
+    A row whose largest |entry| is 2 or more is scaled, with its Du entry,
+    by the power of two that brings it into [1, 2): HiGHS rejects 1e15."""
     m = Cu.shape[1]
+    shift = np.maximum(np.frexp(np.abs(Cu).max(axis=1))[1] - 1, 0)
+    Cu, Du = np.ldexp(Cu, -shift[:, None]), np.ldexp(Du, -shift)
     # variables (u, r): maximize r s.t. Cu u + |row of Cu| r <= Du
     obj = np.r_[np.zeros(m), -1.0]
     A_ub = np.hstack([Cu, np.linalg.norm(Cu, axis=1)[:, None]])

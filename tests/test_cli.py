@@ -610,6 +610,17 @@ def test_validate_infeasible_constraints(tmp_path):
     assert run_cli("validate", "--scenario", path) != 0
 
 
+def test_validate_accepts_a_nonempty_polytope_with_a_1e15_entry(tmp_path, capsys):
+    # the Chebyshev LP scales the row: HiGHS rejected the entry as a model
+    # error, which read as "constraint polytope Cu u <= Du is empty"
+    doc = first_order_doc(input_constraints={
+        "Cu": [[1e15, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], "Du": [1.0] * 4})
+    path = tmp_path / "large_entry.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", "--scenario", path) == 0
+    assert "valid" in capsys.readouterr().out.lower()
+
+
 def test_half_plane_constraint_validates_and_runs(tmp_path):
     # u1 <= 0.5: an unbounded polytope is a valid constraint set
     doc = first_order_doc(input_constraints={"Cu": [[1.0, 0.0]], "Du": [0.5]})

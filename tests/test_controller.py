@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dpcover import controller
+from dpcover.coordination import CommConfig, sync_round
 from dpcover.controller import (GainTerms, convergence_check,
                                 convergence_ellipse, delta_w, gain_terms,
                                 optimal_input_constrained,
@@ -51,6 +52,37 @@ def test_gains_quadrotor_d1_structure():
     gt = gain_terms(sys, np.zeros(8), np.array([1.0, 1.0]), alpha)
     G = sys.C @ np.linalg.matrix_power(sys.A, 3) @ sys.B
     assert np.allclose(gt.D1, alpha * G.T @ G, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(1, -1), (-1, 1), (1, 1, -1)],
+                         ids=["row", "column", "nested"])
+def test_control_step_takes_any_n_element_state_and_input(shape, rng):
+    # the claims' rule (test_public_functions_take_any_two_element_centre)
+    # on the control step and the sync: any array of n finite numbers is
+    # the n-vector
+    sys = make_preset("planar_quadrotor", 0.1)  # n = 8, m = 2, state bounds
+    x = rng.normal(size=sys.n)
+    u = np.array([80.0, -60.0])  # drives the rates past their bounds
+    q_bar = np.array([0.7, -1.2])
+    xs, us = x.reshape(shape), u.reshape(shape)
+    (got_x, got_clamped), (want_x, want_clamped) = (step_events(sys, xs, us),
+                                                    step_events(sys, x, u))
+    assert got_x.tobytes() == want_x.tobytes() and got_clamped == want_clamped
+    assert want_clamped
+    assert output(sys, xs).tobytes() == output(sys, x).tobytes()
+    gt, want = gain_terms(sys, xs, q_bar, 0.01), gain_terms(sys, x, q_bar, 0.01)
+    for name in ("D1", "D2", "u_star"):
+        assert getattr(gt, name).tobytes() == getattr(want, name).tobytes()
+    assert (gt.D3, gt.range_rhs) == (want.D3, want.range_rhs)
+    assert delta_w(want, us) == delta_w(want, u)
+    assert convergence_check(want, us) == convergence_check(want, u)
+    near = [np.array([0.0, 0.0]), np.array([0.3, 0.4])]
+    rounds = []
+    for positions in ([near[0].reshape(shape), near[1]], near):
+        views = [np.array([0.5, 0.2]), np.array([0.1, 0.4])]
+        rounds.append((sync_round(views, positions, CommConfig(d_comm=0.5)),
+                       np.concatenate(views).tobytes()))
+    assert rounds[0] == rounds[1] and rounds[0][0][0] == 1
 
 
 # --------------------------------------------------------------------- delta_w

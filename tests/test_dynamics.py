@@ -59,23 +59,25 @@ def test_quadrotor_markov_block_zeros():
 
 
 def test_derived_power_and_gain(rng):
-    # A_p = A^P and G = C A^(P-1) B, fixed per system and derived once
+    # CA_p = C A^P and G = C A^(P-1) B, fixed per system and derived once;
+    # CA_p has the bits of C @ A^P with A^P formed as A @ A^(P-1)
     for sys in (make_preset("first_order", 0.1), make_preset("planar_quadrotor", 0.1),
                 integrator_chain(3, 2, 0.1, rng)):
         A_pm1 = np.linalg.matrix_power(sys.A, sys.P - 1)
-        assert np.array_equal(sys.A_p, sys.A @ A_pm1)
-        assert np.allclose(sys.A_p, np.linalg.matrix_power(sys.A, sys.P), rtol=1e-14)
+        assert np.array_equal(sys.CA_p, sys.C @ (sys.A @ A_pm1))
+        assert np.allclose(sys.CA_p, sys.C @ np.linalg.matrix_power(sys.A, sys.P),
+                           rtol=1e-14)
         assert np.array_equal(sys.G, sys.C @ A_pm1 @ sys.B)
 
 
 def test_system_matrices_are_read_only_copies():
-    # A, B, C cannot change under the A_p and G derived from them
+    # A, B, C cannot change under the CA_p and G derived from them
     A = np.eye(2)
     sys = LtiSystem(A=A, B=np.eye(2), C=np.eye(2), dt=0.1,
                     state_bounds=[[-1.0, 1.0], [-1.0, 1.0]])
     A[0, 0] = 2.0  # the caller's array stays writable and unshared
     assert sys.A[0, 0] == 1.0
-    for arr in (sys.A, sys.B, sys.C, sys.A_p, sys.G, sys.state_bounds):
+    for arr in (sys.A, sys.B, sys.C, sys.CA_p, sys.G, sys.state_bounds):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 

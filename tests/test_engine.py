@@ -18,6 +18,9 @@ from dpcover.errors import DpcoverError, InputError
 from dpcover.linalg import TRANSPORT_SIZE_CAP, InputPolytope
 from dpcover.scenario import build_scenario
 
+from conftest import integrator_chain
+from reference_engine import check_run, run_with_claims
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -473,3 +476,56 @@ def test_public_functions_reject_malformed_input_or_return_finite_values(data):
 def test_malformed_input_with_a_finite_answer_is_still_rejected(call):
     with pytest.raises(InputError):
         call()
+
+
+# -------------------------------------------------------------- reference loop
+
+@st.composite
+def reference_scenarios(draw):
+    """Small scenarios over every path of the step loop: 1-4 agents of
+    relative degree 1-3, with no input set, a box or a polytope, with or
+    without state bounds; N from 1 to 3001, so that clouds of
+    GRID_MIN_SAMPLES or more take the grid claim; a lattice cloud (ties in
+    distance) or a scattered one, uniform or weighted, of mass 1 or short
+    of it; an infinite or a finite communication range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 80),
+                       st.integers(transport.GRID_MIN_SAMPLES, 3001)))
+    positions = rng.uniform(0.0, 10.0, size=(n, 2))
+    if draw(st.booleans()):
+        positions = np.round(positions)
+    weights = np.full(n, 1.0) if draw(st.booleans()) else rng.uniform(0.2, 1.0, n)
+    # a cloud short of 1 by 5e-13 (SampleCloud's tolerance is 1e-12) runs dry
+    # before the budgets do: the exhausted claims
+    mass = draw(st.sampled_from([1.0, 1.0 - 5e-13]))
+    systems, states = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        P = draw(st.integers(1, 3))
+        sys = integrator_chain(P, 2, 0.1, rng)
+        bound = draw(st.sampled_from([2.0, 20.0, 200.0]))
+        rows = rng.normal(size=(int(rng.integers(3, 6)), 2))
+        input_bounds = draw(st.sampled_from([
+            None, InputPolytope.box(bound, 2),
+            InputPolytope(rows, bound * rng.uniform(0.3, 1.0, len(rows)))]))
+        state_bounds = None
+        if draw(st.booleans()):  # clamp the positions at P = 1, else the rest
+            state_bounds = ([[1.0, 9.0]] * 2 if P == 1 else
+                            [[-np.inf, np.inf]] * 2 + [[-1.0, 1.0]] * (2 * P - 2))
+        systems.append(dataclasses.replace(sys, state_bounds=state_bounds,
+                                           input_bounds=input_bounds))
+        states.append(np.r_[rng.uniform(-2.0, 12.0, 2), rng.normal(scale=0.5, size=2 * P - 2)])
+    budgets = [int(m) for m in rng.integers(1, 9, size=len(systems))]
+    return Scenario(systems=systems, initial_states=states, budgets=budgets,
+                    cloud=SampleCloud(positions, weights / weights.sum() * mass),
+                    comm=CommConfig(draw(st.sampled_from([None, 0.5, 3.0]))),
+                    global_w_interval=draw(st.integers(1, 4)),
+                    global_w_cap=draw(st.sampled_from([16, 100, TRANSPORT_SIZE_CAP])))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(reference_scenarios())
+def test_run_follows_the_reference_loop(scenario):
+    """engine.run against the paper's loop written plainly
+    (reference_engine): every claim, gain term, input, event flag, output,
+    exchange count and W2 of the run, step by step."""
+    check_run(scenario, *run_with_claims(scenario))

@@ -123,6 +123,16 @@ def test_polytope_malformed_rejected(Cu, Du):
         InputPolytope(Cu, Du)
 
 
+@pytest.mark.parametrize("row", [[1e15, 0.0], [1e150, -3e149]], ids=["1e15", "1e150"])
+def test_polytope_with_a_large_row_is_centred_by_the_scaled_lp(row):
+    # HiGHS calls a matrix entry of 1e15 or more a model error, with the
+    # status of an infeasible LP: unscaled, this nonempty set raised
+    # "constraint polytope Cu u <= Du is empty"
+    poly = InputPolytope([row, [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.ones(4))
+    assert np.all(poly.Cu @ poly.interior < poly.Du)
+    assert np.array_equal(poly.Cu[0], row)  # the scaling is the LP's alone
+
+
 def test_qp_infeasible_raises():
     Cu = np.array([[1.0], [-1.0]])
     Du = np.array([-2.0, 1.0])  # u <= -2 and u >= -1
