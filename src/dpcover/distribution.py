@@ -143,10 +143,11 @@ def load_points(path) -> SampleCloud:
     cells is a number; any other non-numeric row is an InputError.
     Missing weights default to uniform; weights are normalized to sum 1.
     Trailing empty cells are ignored; any other empty cell is an InputError.
+    The file is UTF-8; a leading byte-order mark is skipped.
     """
     rows = []
     first = True
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for raw in reader:
             cells = [c.strip() for c in raw]

@@ -22,7 +22,7 @@ from . import controller, coordination, dynamics, linalg, transport
 from .coordination import CommConfig
 from .distribution import SampleCloud, agent_alpha
 from .dynamics import LtiSystem
-from .errors import InputError, check_count, check_points
+from .errors import InputError, check_count, check_finite, check_points
 
 REMAINING_MASS_EPS = 1e-9
 
@@ -31,11 +31,12 @@ REMAINING_MASS_EPS = 1e-9
 class Scenario:
     """Everything needed for one deterministic run. An agent's input set is
     its system's `input_bounds` (None: unconstrained). Construction is the
-    one check of each agent's initial_state length and budget M, of the
-    total budget, whose inverse is the claim size, and of each initial
-    output C x0 and its P-step prediction C A^P x0 lying with the reference
-    positions in a box of finite squared diagonal (errors.check_points), so
-    no W2 or first-step gain cost overflows."""
+    one check of each agent's initial_state (n finite entries, by the one
+    vector rule errors.check_finite) and budget M, of the total budget,
+    whose inverse is the claim size, and of each initial output C x0 and
+    its P-step prediction C A^P x0 lying with the reference positions in a
+    box of finite squared diagonal (errors.check_points), so no W2 or
+    first-step gain cost overflows."""
 
     systems: list[LtiSystem]          # one per agent
     initial_states: list[np.ndarray]  # (n_r,) each
@@ -59,10 +60,7 @@ class Scenario:
         for i, (sys, x0, m) in enumerate(zip(self.systems, self.initial_states,
                                              self.budgets)):
             check_count(m, f"agents[{i}]: M", 1)
-            shape = np.shape(x0)
-            if shape != (sys.n,):
-                raise InputError(f"agents[{i}]: initial_state has shape {shape}, "
-                                 f"its system needs ({sys.n},)")
+            x0 = check_finite(x0, sys.n, f"agents[{i}]: initial_state")
             if sys.p != 2:
                 raise InputError(f"agents[{i}]: outputs must be planar (p = 2)")
             with np.errstate(over="ignore", invalid="ignore"):  # check_points names inf
@@ -149,7 +147,7 @@ def _agent_step(ctx: _AgentCtx, k: int, unclaimed: float) -> StepRecord:
     if bounds is not None:
         u = controller.optimal_input_constrained(gt, bounds)
         slack = bounds.Du - bounds.Cu @ u
-        constraint_active = bool(np.any(slack <= 1e-9))
+        constraint_active = bool(np.any(slack <= 1e-9))  # rows are at unit order
     else:
         u = controller.optimal_input_unconstrained(gt)
         constraint_active = False

@@ -107,13 +107,15 @@ def pseudo_inverse(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InputPolytope:
-    """The input set {u : Cu u <= Du}: c >= 1 rows of finite norm, nonempty.
+    """The input set {u : Cu u <= Du}: c >= 1 finite rows, nonempty.
 
-    Checked once, at construction, which keeps read-only copies of Cu and
-    Du and finds `interior`, the Chebyshev centre (the centre of the
-    largest ball inside; radius capped at 1 for unbounded sets): 0 for a
-    box |u_i| <= b, by an LP otherwise. An empty polytope raises
-    InfeasibleError.
+    Construction checks it once and stores each row and its Du entry times
+    the power of two that puts the row's largest |entry| in [1, 2) (a zero
+    row as given), so the fixed tolerances of the Chebyshev LP, solve_psd_qp
+    and the engine see every row at one scale; a Du entry that overflows at
+    that scale is an InputError. Cu, Du and `interior`, the Chebyshev
+    centre (radius capped at 1 for unbounded sets; 0 for a box |u_i| <= b),
+    are read-only. An empty polytope raises InfeasibleError.
     """
 
     Cu: np.ndarray
@@ -121,14 +123,15 @@ class InputPolytope:
     interior: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        Cu = _as_matrix(self.Cu, "Cu").copy()
-        Du = np.array(self.Du, dtype=float)
+        Cu = _as_matrix(self.Cu, "Cu")
+        Du = np.asarray(self.Du, dtype=float)
         c_rows, m = Cu.shape
         if c_rows < 1 or m < 1 or Du.shape != (c_rows,) or not np.all(np.isfinite(Du)):
             raise InputError("Cu must be (c, m) with c, m >= 1 and Du finite of length c")
-        with np.errstate(over="ignore"):  # the Chebyshev LP's column of row norms
-            if not np.all(np.isfinite(np.linalg.norm(Cu, axis=1))):
-                raise InputError("Cu has a row whose norm overflows")
+        shift = np.frexp(np.abs(Cu).max(axis=1))[1] - Cu.any(axis=1)  # zero row: 0
+        if np.any(np.abs(Du) > np.ldexp(np.finfo(float).max, np.minimum(shift, 0))):
+            raise InputError("Du overflows when its Cu row is scaled to unit order")
+        Cu, Du = np.ldexp(Cu, -shift[:, None]), np.ldexp(Du, -shift)
         if np.array_equal(Cu, _box_rows(m)) and Du.min() == Du.max() >= 0:
             interior = np.zeros(m)  # the box |u_i| <= b is centred at 0
         else:
@@ -148,13 +151,10 @@ def _box_rows(m: int) -> np.ndarray:
 
 
 def _chebyshev_centre(Cu: np.ndarray, Du: np.ndarray) -> np.ndarray:
-    """Centre of the largest ball inside Cu u <= Du, by LP; the radius is
-    capped at 1 for unbounded sets. InfeasibleError if the set is empty.
-    A row whose largest |entry| is 2 or more is scaled, with its Du entry,
-    by the power of two that brings it into [1, 2): HiGHS rejects 1e15."""
+    """Centre of the largest ball inside Cu u <= Du, by LP, radius capped at 1
+    for unbounded sets; InfeasibleError if empty. The rows are at unit order
+    (InputPolytope): HiGHS rejects 1e15 and drops rows all below about 1e-9."""
     m = Cu.shape[1]
-    shift = np.maximum(np.frexp(np.abs(Cu).max(axis=1))[1] - 1, 0)
-    Cu, Du = np.ldexp(Cu, -shift[:, None]), np.ldexp(Du, -shift)
     # variables (u, r): maximize r s.t. Cu u + |row of Cu| r <= Du
     obj = np.r_[np.zeros(m), -1.0]
     A_ub = np.hstack([Cu, np.linalg.norm(Cu, axis=1)[:, None]])

@@ -179,12 +179,25 @@ def build_scenario(doc: dict, base_dir: Path | None = None) -> Scenario:
                         cloud=cloud, comm=comm, **cadence)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ValueError names a key it repeats, which
+    json.loads would otherwise let the last value win."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_document(path: Path):
-    """The JSON value in the file at path; ScenarioError names a file that
-    is not JSON or nests too deeply for the parser."""
+    """The JSON value in the UTF-8 file at path (a byte-order mark is
+    skipped); ScenarioError names a file that is not JSON, repeats a key
+    in an object or nests too deeply for the parser."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or not UTF-8
+        text = path.read_text(encoding="utf-8-sig")
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # malformed JSON, a repeated key or not UTF-8
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
         raise ScenarioError(f"invalid JSON in {path}: nested too deeply") from None

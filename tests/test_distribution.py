@@ -177,6 +177,19 @@ def test_load_points_takes_only_an_all_text_first_row_as_header(tmp_path, text):
         load_points(f)
 
 
+@pytest.mark.parametrize("text", ["1.0,2.0\n3.5,-4.0\n", "x,y,w\n1.0,2.0,3\n3.5,-4.0,1\n"],
+                         ids=["headerless", "header-and-weights"])
+def test_load_points_skips_a_byte_order_mark(tmp_path, text):
+    # spreadsheets save "CSV UTF-8" with a leading U+FEFF, which was read
+    # as part of the first cell: non-numeric row ['\ufeff1.0', '2.0']
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_points(plain), load_points(marked)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.weights, want.weights)
+
+
 # ------------------------------------------------------------------------ mass
 
 def test_agent_alpha_table_values():

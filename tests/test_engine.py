@@ -299,6 +299,22 @@ def test_scenario_names_the_agent_of_a_bad_state_or_budget():
                  budgets=[5, 0], cloud=grid_cloud(3))
 
 
+def test_initial_state_takes_the_one_vector_rule():
+    """A (1, 2) state runs with the bits of the (2,) one, as step_events,
+    output and gain_terms already take it; a wrong size or a non-finite
+    entry is still an InputError naming the agent."""
+    sc = first_order_scenario(m_steps=5)
+    flat = run(sc)
+    rows = run(dataclasses.replace(sc, initial_states=[x.reshape(1, 2)
+                                                       for x in sc.initial_states]))
+    assert np.array_equal(np.array([r.u for r in rows.records]),
+                          np.array([r.u for r in flat.records]))
+    assert all(map(np.array_equal, rows.trajectories, flat.trajectories))
+    for bad in (np.zeros((1, 3)), np.array([[np.nan, 1.0]])):
+        with pytest.raises(InputError, match=r"agents\[0\]: initial_state"):
+            dataclasses.replace(sc, initial_states=[bad, sc.initial_states[1]])
+
+
 def test_constrained_run_solves_no_chebyshev_lp(monkeypatch):
     """The polytope finds its interior point once, when built: the QP on a
     binding step starts there. The global W2 takes the assignment or the

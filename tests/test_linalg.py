@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -111,16 +111,19 @@ def test_polytope_box_empty_or_off_centre_takes_the_lp():
     ([[1.0, 0.0], [-1.0, 0.0]], [1.0]),
     ([[1.0, np.nan], [-1.0, 0.0]], [1.0, 1.0]),
     ([[1.0, 0.0], [-1.0, 0.0]], [1.0, np.inf]),
-    # each entry finite, the row's norm (the Chebyshev LP's last column) not:
-    # numpy warned of the overflow, then linprog raised ValueError
-    ([[1e308, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
-    ([[1.0, 0.0], [-1e308, 1e308]], [1.0, 1.0]),
-    ([[1e200, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
-], ids=["zero-rows", "du-length", "cu-nan", "du-inf", "cu-row-norm-1e308",
-        "cu-row-norm-two-1e308", "cu-row-norm-1e200"])
+    # u1 <= 1e300 written with a row of 1e-300: Du overflows at unit order
+    ([[1e-300, 0.0], [-1.0, 0.0]], [1e300, 1.0]),
+], ids=["zero-rows", "du-length", "cu-nan", "du-inf", "du-overflows-at-unit-order"])
 def test_polytope_malformed_rejected(Cu, Du):
     with pytest.raises(InputError):
         InputPolytope(Cu, Du)
+
+
+def _times_a_power_of_two(stored, given):
+    """Whether the stored rows are the given ones, each times a power of two."""
+    stored, given = np.asarray(stored), np.asarray(given)
+    k = np.frexp(np.abs(stored).max(axis=1))[1] - np.frexp(np.abs(given).max(axis=1))[1]
+    return np.array_equal(stored, np.ldexp(given, k[:, None]))
 
 
 @pytest.mark.parametrize("row", [[1e15, 0.0], [1e150, -3e149]], ids=["1e15", "1e150"])
@@ -128,9 +131,83 @@ def test_polytope_with_a_large_row_is_centred_by_the_scaled_lp(row):
     # HiGHS calls a matrix entry of 1e15 or more a model error, with the
     # status of an infeasible LP: unscaled, this nonempty set raised
     # "constraint polytope Cu u <= Du is empty"
-    poly = InputPolytope([row, [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.ones(4))
+    Cu = [row, [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    poly = InputPolytope(Cu, np.ones(4))
     assert np.all(poly.Cu @ poly.interior < poly.Du)
-    assert np.array_equal(poly.Cu[0], row)  # the scaling is the LP's alone
+    assert np.all(np.array(Cu) @ poly.interior < 1.0)
+    assert _times_a_power_of_two(poly.Cu, Cu)
+
+
+@pytest.mark.parametrize("Cu, Du", [
+    ([[1e308, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+    ([[1.0, 0.0], [-1e308, 1e308]], [1.0, 1.0]),
+    ([[1e200, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+], ids=["cu-row-norm-1e308", "cu-row-norm-two-1e308", "cu-row-norm-1e200"])
+def test_polytope_whose_row_norm_overflows_is_centred(Cu, Du):
+    # each entry finite, the row's norm not: these nonempty sets were
+    # rejected while the Chebyshev LP took the rows as given
+    poly = InputPolytope(Cu, Du)
+    assert np.all(np.array(Cu) @ poly.interior < Du)
+    assert _times_a_power_of_two(poly.Cu, Cu)
+
+
+# 1 <= u1 <= 3, |u2| <= 1, its u1 rows written at 1e-10. HiGHS drops rows
+# whose entries all lie below about 1e-9: given these rows as they are, the
+# LP centred the set at (0, 0), and the QP answered (5, 0) and (0, 1)
+TINY_ROWS = ([[1e-10, 0.0], [-1e-10, 0.0], [0.0, 1.0], [0.0, -1.0]],
+             [3e-10, -1e-10, 1.0, 1.0])
+
+
+def test_polytope_of_tiny_rows_is_centred_inside_and_its_qp_answers_inside():
+    poly = InputPolytope(*TINY_ROWS)
+    assert np.allclose(poly.interior, [2.0, 0.0], rtol=0.0, atol=1e-9)
+    for g, want in (([-5.0, 0.0], [3.0, 0.0]), ([0.0, -5.0], [1.0, 1.0])):
+        u = solve_psd_qp(quadratic(np.eye(2), np.array(g)), poly)
+        assert np.allclose(u, want, rtol=0.0, atol=1e-9)
+
+
+def _rows_about_a_point(seed):
+    """(Cu, Du) of a bounded 2-D polytope: the box |u_i| <= 3 and 1-4 rows of
+    random direction and largest |entry| 10^-12 to 10^12, each 0.1 to 2
+    row norms above a random point c with |c_i| <= 1, so c is inside."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    rows = rng.normal(size=(n, 2))
+    rows /= np.abs(rows).max(axis=1, keepdims=True)
+    rows *= 10.0 ** rng.uniform(-12.0, 12.0, size=(n, 1))
+    c = rng.uniform(-1.0, 1.0, size=2)
+    margin = rng.uniform(0.1, 2.0, size=n) * np.linalg.norm(rows, axis=1)
+    return (np.vstack([np.eye(2), -np.eye(2), rows]),
+            np.r_[np.full(4, 3.0), rows @ c + margin])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1).map(_rows_about_a_point),
+       st.lists(st.integers(min_value=-60, max_value=60), min_size=8, max_size=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(TINY_ROWS, [0, 0, 0, 0], 0)
+@example(TINY_ROWS, [60, -60, 7, -33], 1)
+def test_polytope_is_the_same_whatever_power_of_two_scales_each_row(rows, shifts, seed):
+    """Each row and its Du entry times its own 2^k: the same stored rows,
+    centre and QP answers, bit for bit; every answer meets each row as
+    given within 1e-8 times that row's largest |entry|."""
+    Cu, Du = (np.asarray(a, dtype=float) for a in rows)
+    k = np.array(shifts[:Cu.shape[0]])
+    scaled_rows = (np.ldexp(Cu, k[:, None]), np.ldexp(Du, k))
+    poly, scaled = InputPolytope(Cu, Du), InputPolytope(*scaled_rows)
+    for name in ("Cu", "Du", "interior"):
+        assert np.array_equal(getattr(scaled, name), getattr(poly, name))
+    rng = np.random.default_rng(seed)
+    gains = [quadratic(np.eye(2), np.array([-5.0, 0.0])),
+             quadratic(np.eye(2), np.array([0.0, -5.0]))]
+    for rank in (2, 2, 1):  # a rank-1 D1 is flat along one direction
+        R = rng.normal(size=(rank, 2))
+        gains.append(quadratic(R.T @ R, 5.0 * rng.normal(size=2)))
+    for q in gains:
+        u = solve_psd_qp(q, scaled)
+        assert np.array_equal(u, solve_psd_qp(q, poly))
+        for C, D in ((Cu, Du), scaled_rows):
+            assert np.all(C @ u - D <= 1e-8 * np.abs(C).max(axis=1))
 
 
 def test_qp_infeasible_raises():

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcover import cli, linalg
+from dpcover.engine import run
 from dpcover.errors import ScenarioError
 from dpcover.linalg import TRANSPORT_SIZE_CAP
-from dpcover.scenario import build_scenario, load_scenario
+from dpcover.scenario import build_scenario, load_scenario, read_document
 
 from conftest import first_order_doc
 
@@ -252,6 +253,14 @@ def test_invalid_json_reported(tmp_path):
         load_scenario(path)
 
 
+def test_document_with_a_byte_order_mark_loads(tmp_path):
+    text = json.dumps(first_order_doc()).encode("utf-8")
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert read_document(marked) == read_document(plain) == first_order_doc()
+
+
 def _with(path, value, doc=None):
     """doc (default first_order_doc()) with the entry at key path (a tuple)
     set to value."""
@@ -374,9 +383,9 @@ def _double_integrator_doc(x0):
     (_with(("input_constraints",), {"u_max": 0}), r"^input_constraints: u_max must be positive"),
     (_with(("input_constraints",), {"Cu": [[1.0, 0.0]]}),
      r"^input_constraints: Cu and Du must be given together"),
-    # each entry is finite, the row's norm is not: linprog raised ValueError
-    (_with(("input_constraints",), {"Cu": [[1e308, 0.0], [-1.0, 0.0]], "Du": [1.0, 1.0]}),
-     r"^input_constraints: Cu has a row whose norm overflows"),
+    # u1 <= 1e300 written with a row of 1e-300: Du overflows at unit order
+    (_with(("input_constraints",), {"Cu": [[1e-300, 0.0], [-1.0, 0.0]], "Du": [1e300, 1.0]}),
+     r"^input_constraints: Du overflows when its Cu row is scaled to unit order"),
     # three outputs, and a 1-D C read as one row
     (_custom_doc(x0=(1.0, 1.0, 1.0), A=np.eye(3).tolist(), B=np.eye(3).tolist(),
                  C=np.eye(3).tolist()), r"^agents\[0\]: outputs must be planar"),
@@ -388,6 +397,11 @@ def _double_integrator_doc(x0):
     # C A^2 x0 overflows to inf, with no RuntimeWarning from the product
     (_double_integrator_doc((1.7e308, 1.0, 1e308, 0.0)),
      r"^agents\[0\]: the initial output C x0, .* must be finite$"),
+    # a key repeated in one object, which json.loads would let the last win
+    ('{"seed": 7, ' + json.dumps(first_order_doc())[1:],
+     r"^invalid JSON in .*: duplicate key 'seed'$"),
+    (json.dumps(first_order_doc()).replace('{"initial_state"', '{"M": 8, "initial_state"', 1),
+     r"^invalid JSON in .*: duplicate key 'M'$"),
 ], ids=["seed-str", "seed-negative", "initial-state-str", "initial-state-nan",
         "budget-bool", "cap-zero", "cap-negative", "cap-above-solver", "u-max-str",
         "u-max-inf", "cu-str", "components-int", "system-int", "agent-system-int",
@@ -404,13 +418,14 @@ def _double_integrator_doc(x0):
         "cov-one-by-one", "initial-state-nested-deep", "seed-float", "preset-unknown",
         "state-bounds-flat", "custom-system-rejected", "reference-file-missing",
         "n-samples-zero", "d-comm-negative", "u-max-zero", "cu-without-du",
-        "cu-row-norm-overflows", "outputs-three", "c-one-dimensional",
-        "prediction-far", "prediction-inf"])
+        "du-overflows-at-unit-order", "outputs-three", "c-one-dimensional",
+        "prediction-far", "prediction-inf", "key-repeated", "agent-key-repeated"])
 def test_malformed_document_is_a_scenario_error(doc, match, tmp_path, capsys):
-    with pytest.raises(ScenarioError, match=match):
-        build_scenario(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    # a str row is the document's text: a repeated key has no dict form
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(path)
     assert cli.main(["validate", "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("invalid: ")
     out = tmp_path / "out"
@@ -433,6 +448,20 @@ def test_single_input_custom_system_with_state_bounds_validates_and_runs(tmp_pat
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     assert (out / "trajectories.csv").exists()
+
+
+def test_input_row_whose_norm_overflows_validates_and_runs(tmp_path, capsys):
+    """Each Cu entry is finite, the first row's norm is not: the set
+    -1 <= u1 <= 1e-308 is nonempty, and every input the run takes is in it."""
+    Cu, Du = np.array([[1e308, 0.0], [-1.0, 0.0]]), np.ones(2)
+    doc = _with(("input_constraints",), {"Cu": Cu.tolist(), "Du": Du.tolist()})
+    result = run(build_scenario(doc))
+    assert all(np.all(Cu @ r.u <= Du) for r in result.records)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--scenario", str(path)]) == 0
+    assert "input_rows=2" in capsys.readouterr().out
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 FUZZ_PALETTE = (None, True, False, -1, 0, 0.5, 5, 10**400, float("nan"), float("inf"),
@@ -468,7 +497,7 @@ def _fuzz_doc():
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(list(_subtree_paths(_fuzz_doc()))),
        st.sampled_from(FUZZ_PALETTE))
-# each Cu entry huge: finite, but the row's norm overflows
+# each Cu entry huge: finite, its row's norm not; the row is stored at unit order
 @_examples([(("input_constraints", "Cu", i, j), value)
             for i in range(3) for j in range(2) for value in (1e308, -1e308, 1e200)])
 def test_mutated_document_never_raises(path, value):
