@@ -56,25 +56,27 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
             (out_dir / name).unlink(missing_ok=True)
     m_max = max(s.m for s in scenario.systems)
 
+    # rows go to the writer as generators: no list of every step's row is
+    # built while the records are alive
     _write_csv(out_dir / "trajectories.csv", ["agent", "k", "y1", "y2"],
-               [(agent, k, y1, y2) for agent, traj in enumerate(result.trajectories)
-                for k, (y1, y2) in enumerate(traj.tolist(), start=1)])
+               ((agent, k, y1, y2) for agent, traj in enumerate(result.trajectories)
+                for k, (y1, y2) in enumerate(traj.tolist(), start=1)))
 
     u_cols = [f"u{i + 1}" for i in range(m_max)]
-    metric_rows = []
-    for r in result.records:
-        u = r.u.tolist() + [""] * (m_max - len(r.u))
-        metric_rows.append(
-            (r.agent, r.k, *u, float(r.delta_w_pred), float(r.local_w), int(r.in_range),
-             int(r.range_nonempty), r.comm_events,
-             f"{r.stage_a_ms:.3f}" if timing else "0.000",
-             f"{r.stage_b_ms:.3f}" if timing else "0.000",
-             f"{r.stage_c_ms:.3f}" if timing else "0.000",
-             int(r.bound_violation)))
+
+    def metric_rows():
+        for r in result.records:
+            u = r.u.tolist() + [""] * (m_max - len(r.u))
+            yield (r.agent, r.k, *u, float(r.delta_w_pred), float(r.local_w),
+                   int(r.in_range), int(r.range_nonempty), r.comm_events,
+                   f"{r.stage_a_ms:.3f}" if timing else "0.000",
+                   f"{r.stage_b_ms:.3f}" if timing else "0.000",
+                   f"{r.stage_c_ms:.3f}" if timing else "0.000",
+                   int(r.bound_violation))
     _write_csv(out_dir / "metrics.csv",
                ["agent", "k", *u_cols, "delta_w", "local_w", "in_range",
                 "range_nonempty", "comm_events", "stageA_ms", "stageB_ms",
-                "stageC_ms", "bound_violation"], metric_rows)
+                "stageC_ms", "bound_violation"], metric_rows())
 
     _write_csv(out_dir / "global_w.csv", ["k", "w2", "subsampled"],
                [(k, float(w), int(sub)) for k, w, sub in result.global_w])
@@ -83,14 +85,14 @@ def _write_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                np.column_stack((scenario.cloud.positions, scenario.cloud.weights)).tolist())
 
     if all(s.m == 2 for s in scenario.systems):
-        gain_rows = []
-        for r in result.records:
-            (d1_11, d1_12), (_, d1_22) = r.gains.D1.tolist()
-            gain_rows.append((r.agent, r.k, d1_11, d1_12, d1_22, *r.gains.D2.tolist(),
-                              float(r.gains.D3), *r.u.tolist(), *r.gains.u_star.tolist()))
+        def gain_rows():
+            for r in result.records:
+                (d1_11, d1_12), (_, d1_22) = r.gains.D1.tolist()
+                yield (r.agent, r.k, d1_11, d1_12, d1_22, *r.gains.D2.tolist(),
+                       float(r.gains.D3), *r.u.tolist(), *r.gains.u_star.tolist())
         _write_csv(out_dir / "gains.csv",
                    ["agent", "k", "d1_11", "d1_12", "d1_22", "d2_1", "d2_2",
-                    "d3", "u1", "u2", "uu1", "uu2"], gain_rows)
+                    "d3", "u1", "u2", "uu1", "uu2"], gain_rows())
 
 
 def _override_seed(doc: dict, seed: int) -> None:
@@ -132,7 +134,9 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict[str, str]]:
     `columns`, and at least one data row must follow it."""
     if not path.exists():
         raise InputError(f"missing {path}; run the scenario first")
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as a spreadsheet may save one, is not
+    # part of the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -18,6 +18,7 @@ quadratic, GainTerms, is the objective of the constrained QP.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +60,15 @@ def _curvature_of(shape: tuple, data: bytes) -> tuple[np.ndarray, ...]:
     return entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GainTerms:
     """The quadratic u'D1u + 2D2u + D3 of one step, checked once.
 
     D1 must be finite, symmetric and positive semidefinite, each within
     the relative tolerance 1e-10; it is kept symmetrised. D1^+ is derived
     once per distinct D1 (_curvature); the unconstrained optimum u_star,
-    the centre of the convergence range, and its bound once per step.
+    the centre of the convergence range, and its bound once per step
+    (_derive). D2 is kept as given when it is 1-D.
     """
 
     D1: np.ndarray  # (m, m) symmetric PSD, read-only
@@ -78,25 +80,41 @@ class GainTerms:
 
     def __post_init__(self):
         D1 = np.asarray(self.D1, dtype=float)
-        D2 = np.asarray(self.D2, dtype=float).reshape(-1)
+        D2 = np.asarray(self.D2, dtype=float)
+        if D2.ndim != 1:
+            D2 = D2.reshape(-1)
         if D2.size < 1 or D1.shape != (D2.size, D2.size):
             raise InputError("D1/D2 dimensions inconsistent")
-        if not (np.all(np.isfinite(D2)) and np.isfinite(self.D3)):
-            raise InputError("non-finite gain terms")
+        _check_terms(D2, self.D3)
         D1, D1_pinv, _, _ = _curvature(D1)
-        u_star = -D1_pinv @ D2
-        u_star.flags.writeable = False
-        object.__setattr__(self, "D1", D1)
-        object.__setattr__(self, "D2", D2)
-        object.__setattr__(self, "D3", float(self.D3))
-        object.__setattr__(self, "D1_pinv", D1_pinv)
-        object.__setattr__(self, "u_star", u_star)
-        object.__setattr__(self, "range_rhs",
-                           float(D2 @ D1_pinv @ D2 - self.D3))
+        _derive(self, D1, D1_pinv, D2, float(self.D3))
+
+
+def _check_terms(D2: np.ndarray, D3) -> None:
+    """InputError unless D3 and every entry of the 1-D D2 are finite."""
+    if not (math.isfinite(D3) and all(map(math.isfinite, D2.tolist()))):
+        raise InputError("non-finite gain terms")
+
+
+def _derive(gt: GainTerms, D1, D1_pinv, D2, D3: float) -> GainTerms:
+    """Set every field of gt from checked parts: D1 and D1_pinv from
+    _curvature, a finite (m,) D2 and a finite float D3. The one place
+    where u_star and range_rhs are computed."""
+    u_star = -D1_pinv @ D2
+    u_star.flags.writeable = False
+    range_rhs = float(D2 @ D1_pinv @ D2 - D3)
+    for name, value in zip(GainTerms.__slots__,
+                           (D1, D2, D3, D1_pinv, u_star, range_rhs), strict=True):
+        object.__setattr__(gt, name, value)
+    return gt
 
 
 def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
-    """Quadratic coefficients of the predicted squared-distance change."""
+    """Quadratic coefficients of the predicted squared-distance change.
+
+    The same GainTerms as GainTerms(D1=alpha G'G, D2, D3), field for field
+    and bit for bit, with D1 checked only by the curvature memo: D1 has
+    the right shape and is symmetric PSD by construction."""
     if not 0 < alpha < np.inf:
         raise InputError("alpha must be positive and finite")
     x = check_finite(x, sys.n, "x")
@@ -104,14 +122,20 @@ def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
     G, y_hat, y = sys.G, sys.CA_p @ x, sys.C @ x
     D1 = alpha * G.T @ G
     D2 = alpha * (y_hat - q_bar) @ G
-    D3 = alpha * (y_hat @ y_hat - y @ y) - 2.0 * alpha * (q_bar @ (y_hat - y))
-    return GainTerms(D1=D1, D2=D2, D3=D3)
+    D3 = float(alpha * (y_hat @ y_hat - y @ y) - 2.0 * alpha * (q_bar @ (y_hat - y)))
+    _check_terms(D2, D3)
+    D1, D1_pinv, _, _ = _curvature(D1)
+    return _derive(object.__new__(GainTerms), D1, D1_pinv, D2, D3)
+
+
+def _delta_w(gt: GainTerms, u: np.ndarray) -> float:
+    """delta_w for a u already checked (a finite (m,) float array)."""
+    return float(u @ gt.D1 @ u + 2.0 * gt.D2 @ u + gt.D3)
 
 
 def delta_w(gt: GainTerms, u) -> float:
     """Predicted change in squared local Wasserstein distance at input u."""
-    u = check_finite(u, gt.D2.size, "u")
-    return float(u @ gt.D1 @ u + 2.0 * gt.D2 @ u + gt.D3)
+    return _delta_w(gt, check_finite(u, gt.D2.size, "u"))
 
 
 def optimal_input_unconstrained(gt: GainTerms) -> np.ndarray:
@@ -131,7 +155,12 @@ def convergence_check(gt: GainTerms, u) -> tuple[bool, bool]:
     nonempty iff gt.range_rhs is nonnegative. Boundary points count
     as outside (the predicted change there is zero, not a decrease).
     """
-    v = check_finite(u, gt.D2.size, "u") - gt.u_star
+    return _convergence(gt, check_finite(u, gt.D2.size, "u"))
+
+
+def _convergence(gt: GainTerms, u: np.ndarray) -> tuple[bool, bool]:
+    """convergence_check for a u already checked (a finite (m,) float array)."""
+    v = u - gt.u_star
     lhs = float(v @ gt.D1 @ v)
     return (gt.range_rhs >= 0.0 and lhs < gt.range_rhs), gt.range_rhs >= 0.0
 

@@ -130,9 +130,14 @@ def step_events(sys: LtiSystem, x, u) -> tuple[np.ndarray, bool]:
     return clipped, bool(np.any(clipped != nxt))
 
 
+def _output(sys: LtiSystem, x: np.ndarray) -> np.ndarray:
+    """y = C x for an x already checked (a finite (n,) float array)."""
+    return sys.C @ x
+
+
 def output(sys: LtiSystem, x) -> np.ndarray:
     """Output map y = C x, for x any array of n finite numbers."""
-    return sys.C @ check_finite(x, sys.n, "state")
+    return _output(sys, check_finite(x, sys.n, "state"))
 
 
 def make_preset(name: str, dt: float, params: dict | None = None) -> LtiSystem:

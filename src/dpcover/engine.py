@@ -73,7 +73,7 @@ class Scenario:
                              "most 1.8e308, so that the claim size 1 / total is a float")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     agent: int
     k: int
@@ -144,20 +144,19 @@ def _agent_step(ctx: _AgentCtx, k: int, unclaimed: float) -> StepRecord:
     alpha_used = selection.total_mass
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
     bounds = ctx.sys.input_bounds
-    if bounds is not None:
-        u = controller.optimal_input_constrained(gt, bounds)
-        slack = bounds.Du - bounds.Cu @ u
-        constraint_active = bool(np.any(slack <= 1e-9))  # rows are at unit order
-    else:
-        u = controller.optimal_input_unconstrained(gt)
-        constraint_active = False
-    dw = controller.delta_w(gt, u)
-    in_range, nonempty = controller.convergence_check(gt, u)
-    local_w = transport.local_wasserstein(selection, ctx.y)
+    u = gt.u_star if bounds is None else controller.optimal_input_constrained(gt, bounds)
+    # the one check of the input: what follows takes u as it is, and the
+    # local W2 takes ctx.y, an output of a checked state
+    check_finite(u, ctx.sys.m, "u")
+    # the slack test is absolute: the rows are at unit order
+    constraint_active = bounds is not None and bool(np.any(bounds.Du - bounds.Cu @ u <= 1e-9))
+    dw = controller._delta_w(gt, u)
+    in_range, nonempty = controller._convergence(gt, u)
+    local_w = transport._local_wasserstein(selection, ctx.y)
     stage_a_ms = (time.perf_counter() - t0) * 1e3
 
     x_new, violated = dynamics.step_events(ctx.sys, ctx.x, u)
-    y_new = dynamics.output(ctx.sys, x_new)
+    y_new = dynamics._output(ctx.sys, x_new)
 
     t1 = time.perf_counter()
     # alpha_used is a sum of this view's live weights: it exceeds their
@@ -175,7 +174,7 @@ def _agent_step(ctx: _AgentCtx, k: int, unclaimed: float) -> StepRecord:
     ctx.outputs.append(y_new)
 
     record = StepRecord(
-        agent=ctx.idx, k=k, y=y_new, u=np.asarray(u, dtype=float), gains=gt,
+        agent=ctx.idx, k=k, y=y_new, u=u, gains=gt,
         delta_w_pred=dw, local_w=local_w,
         in_range=in_range, range_nonempty=nonempty,
         bound_violation=violated, input_constraint_active=constraint_active,

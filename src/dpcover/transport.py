@@ -340,7 +340,12 @@ def local_wasserstein(selection: LocalSelection, agent_pos) -> float:
     """sqrt(sum of claimed mass times squared distance to the agent)."""
     if selection.taken.size == 0:
         raise InputError("empty selection")
-    agent_pos = check_finite(agent_pos, 2, "agent_pos")
+    return _local_wasserstein(selection, check_finite(agent_pos, 2, "agent_pos"))
+
+
+def _local_wasserstein(selection: LocalSelection, agent_pos: np.ndarray) -> float:
+    """local_wasserstein for a nonempty selection and an agent_pos already
+    checked (a finite (2,) float array)."""
     return float(np.sqrt(selection.taken @ _squared_distances(selection.points, agent_pos)))
 
 

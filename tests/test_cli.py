@@ -547,6 +547,21 @@ def test_plot_reads_columns_by_name(kind, scenario_file, tmp_path):
     assert (out / f"{kind}.svg").read_bytes() == want
 
 
+@pytest.mark.parametrize("kind", cli.PLOT_KINDS)
+def test_plot_reads_csvs_saved_with_a_byte_order_mark(kind, scenario_file, tmp_path):
+    """A run CSV re-saved with a UTF-8 byte-order mark, as a spreadsheet
+    may write it, gives the same SVG bytes: the mark is not part of the
+    first column's name."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0
+    assert run_cli("plot", "--out", out, "--kind", kind) == 0
+    want = (out / f"{kind}.svg").read_bytes()
+    for path in out.glob("*.csv"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli("plot", "--out", out, "--kind", kind) == 0
+    assert (out / f"{kind}.svg").read_bytes() == want
+
+
 def test_plot_names_a_missing_column(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("run", "--scenario", scenario_file, "--out", out) == 0

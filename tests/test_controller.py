@@ -5,10 +5,14 @@ the dynamics (the definitional route), and optima against perturbation
 and grid oracles, so the two routes stay independent.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpcover import controller
+from dpcover import controller, dynamics, transport
 from dpcover.coordination import CommConfig, sync_round
 from dpcover.controller import (GainTerms, convergence_check,
                                 convergence_ellipse, delta_w, gain_terms,
@@ -17,7 +21,7 @@ from dpcover.controller import (GainTerms, convergence_check,
 from dpcover.dynamics import make_preset, output, step_events
 from dpcover.errors import InputError
 from dpcover.linalg import InputPolytope, solve_psd_qp
-from dpcover.transport import LocalSelection, select_local_samples
+from dpcover.transport import LocalSelection, local_wasserstein, select_local_samples
 
 from conftest import integrator_chain
 
@@ -382,3 +386,76 @@ def test_gains_with_real_selection(rng):
     assert np.allclose(x + u, sel.mass_center, atol=1e-9)
     assert delta_w(gt, u) == pytest.approx(
         -sel.total_mass * np.sum((x - sel.mass_center) ** 2), abs=1e-12)
+
+
+# -------------------------------------------------------------- checked once
+
+_PRESETS = {name: make_preset(name, 0.1) for name in ("first_order", "planar_quadrotor")}
+
+
+def _vector(data, size: int, scale: float) -> np.ndarray:
+    return scale * np.array(data.draw(st.lists(
+        st.floats(-10.0, 10.0), min_size=size, max_size=size)))
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_PRESETS)), cold=st.booleans(),
+       scale=st.sampled_from([1.0, 1e3, 1e155, 1e307]), data=st.data())
+def test_gain_terms_is_the_public_constructor_bit_for_bit(name, cold, scale, data):
+    """gain_terms checks D2 and D3 itself and takes D1 as the curvature
+    memo checked it, yet gives GainTerms(D1=alpha G'G, D2, D3) in every
+    field, with the memo cold (each path builds its entry) or warm; a
+    non-finite D2 or D3 fails both paths alike. At the larger scales the
+    products overflow, so overflow warnings are silenced."""
+    sys = _PRESETS[name]
+    x, q_bar = _vector(data, sys.n, scale), _vector(data, sys.p, scale)
+    alpha = data.draw(st.floats(1e-6, 1e3))
+    paths = (lambda: gain_terms(sys, x, q_bar, alpha),
+             lambda: GainTerms(D1=D1, D2=D2, D3=D3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, y_hat, y = sys.G, sys.CA_p @ x, sys.C @ x
+        D1 = alpha * G.T @ G
+        D2 = alpha * (y_hat - q_bar) @ G
+        D3 = alpha * (y_hat @ y_hat - y @ y) - 2.0 * alpha * (q_bar @ (y_hat - y))
+        if not (np.all(np.isfinite(D2)) and np.isfinite(D3)):
+            for build in paths:
+                with pytest.raises(InputError, match="non-finite gain terms"):
+                    build()
+            return
+        if not cold:
+            paths[0]()
+        built = []
+        for build in paths:
+            if cold:
+                controller._curvature_of.cache_clear()
+            built.append(build())
+    got, want = built
+    assert (got.D1 is want.D1) is not cold
+    for f in dataclasses.fields(GainTerms):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and _bits(a) == _bits(b), f.name
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_PRESETS)), data=st.data())
+def test_read_out_cores_are_their_checked_wrappers_bit_for_bit(name, data):
+    """The engine reads delta_w, the range test, the local W2, y = C x and
+    u* through unchecked cores; each gives its public wrapper's bits."""
+    sys = _PRESETS[name]
+    x, q_bar, u = _vector(data, sys.n, 1.0), _vector(data, sys.p, 1.0), _vector(data, sys.m, 1.0)
+    gt = gain_terms(sys, x, q_bar, data.draw(st.floats(1e-6, 1e3)))
+    assert controller._delta_w(gt, u) == delta_w(gt, u)
+    assert controller._convergence(gt, u) == convergence_check(gt, u)
+    assert optimal_input_unconstrained(gt) is gt.u_star
+    assert _bits(dynamics._output(sys, x)) == _bits(output(sys, x))
+    points = _vector(data, 6, 1.0).reshape(3, 2)
+    taken = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3)))
+    selection = LocalSelection(indices=np.arange(3), taken=taken, points=points,
+                               mass_center=(taken @ points) / taken.sum())
+    agent_pos = _vector(data, 2, 1.0)
+    assert (transport._local_wasserstein(selection, agent_pos)
+            == local_wasserstein(selection, agent_pos))

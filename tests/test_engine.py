@@ -364,6 +364,18 @@ def test_constrained_step_inverts_d1_once(monkeypatch):
     assert calls == {"pinv": len(set(d1)), "matrix_power": 0}
 
 
+def test_step_records_keep_no_dict_and_no_view():
+    """A run keeps every step's record and gain terms, so each is slotted
+    (no per-instance __dict__), and D2 is the array gain_terms formed, not
+    a reshaped view that would keep a second array header alive."""
+    result = run(first_order_scenario(m_steps=10))
+    assert len(result.records) == 20
+    for record in result.records:
+        assert not hasattr(record, "__dict__")
+        assert not hasattr(record.gains, "__dict__")
+        assert record.gains.D2.base is None
+
+
 @pytest.mark.parametrize("field, value", [
     ("global_w_cap", 100.0), ("global_w_cap", True),
     ("global_w_interval", 2.5), ("global_w_interval", True),
