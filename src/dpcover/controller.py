@@ -67,8 +67,8 @@ class GainTerms:
     D1 must be finite, symmetric and positive semidefinite, each within
     the relative tolerance 1e-10; it is kept symmetrised. D1^+ is derived
     once per distinct D1 (_curvature); the unconstrained optimum u_star,
-    the centre of the convergence range, and its bound once per step
-    (_derive). D2 is kept as given when it is 1-D.
+    the centre of the convergence range, and its bound once per step.
+    D2 is kept as given when it is 1-D.
     """
 
     D1: np.ndarray  # (m, m) symmetric PSD, read-only
@@ -85,36 +85,22 @@ class GainTerms:
             D2 = D2.reshape(-1)
         if D2.size < 1 or D1.shape != (D2.size, D2.size):
             raise InputError("D1/D2 dimensions inconsistent")
-        _check_terms(D2, self.D3)
+        if not (math.isfinite(self.D3) and all(map(math.isfinite, D2.tolist()))):
+            raise InputError("non-finite gain terms")
         D1, D1_pinv, _, _ = _curvature(D1)
-        _derive(self, D1, D1_pinv, D2, float(self.D3))
-
-
-def _check_terms(D2: np.ndarray, D3) -> None:
-    """InputError unless D3 and every entry of the 1-D D2 are finite."""
-    if not (math.isfinite(D3) and all(map(math.isfinite, D2.tolist()))):
-        raise InputError("non-finite gain terms")
-
-
-def _derive(gt: GainTerms, D1, D1_pinv, D2, D3: float) -> GainTerms:
-    """Set every field of gt from checked parts: D1 and D1_pinv from
-    _curvature, a finite (m,) D2 and a finite float D3. The one place
-    where u_star and range_rhs are computed."""
-    u_star = -D1_pinv @ D2
-    u_star.flags.writeable = False
-    range_rhs = float(D2 @ D1_pinv @ D2 - D3)
-    for name, value in zip(GainTerms.__slots__,
-                           (D1, D2, D3, D1_pinv, u_star, range_rhs), strict=True):
-        object.__setattr__(gt, name, value)
-    return gt
+        u_star = -D1_pinv @ D2
+        u_star.flags.writeable = False
+        object.__setattr__(self, "D1", D1)
+        object.__setattr__(self, "D2", D2)
+        object.__setattr__(self, "D3", float(self.D3))
+        object.__setattr__(self, "D1_pinv", D1_pinv)
+        object.__setattr__(self, "u_star", u_star)
+        object.__setattr__(self, "range_rhs",
+                           float(D2 @ D1_pinv @ D2 - self.D3))
 
 
 def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
-    """Quadratic coefficients of the predicted squared-distance change.
-
-    The same GainTerms as GainTerms(D1=alpha G'G, D2, D3), field for field
-    and bit for bit, with D1 checked only by the curvature memo: D1 has
-    the right shape and is symmetric PSD by construction."""
+    """Quadratic coefficients of the predicted squared-distance change."""
     if not 0 < alpha < np.inf:
         raise InputError("alpha must be positive and finite")
     x = check_finite(x, sys.n, "x")
@@ -122,10 +108,8 @@ def gain_terms(sys: LtiSystem, x, q_bar, alpha: float) -> GainTerms:
     G, y_hat, y = sys.G, sys.CA_p @ x, sys.C @ x
     D1 = alpha * G.T @ G
     D2 = alpha * (y_hat - q_bar) @ G
-    D3 = float(alpha * (y_hat @ y_hat - y @ y) - 2.0 * alpha * (q_bar @ (y_hat - y)))
-    _check_terms(D2, D3)
-    D1, D1_pinv, _, _ = _curvature(D1)
-    return _derive(object.__new__(GainTerms), D1, D1_pinv, D2, D3)
+    D3 = alpha * (y_hat @ y_hat - y @ y) - 2.0 * alpha * (q_bar @ (y_hat - y))
+    return GainTerms(D1=D1, D2=D2, D3=D3)
 
 
 def _delta_w(gt: GainTerms, u: np.ndarray) -> float:

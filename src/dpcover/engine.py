@@ -145,8 +145,9 @@ def _agent_step(ctx: _AgentCtx, k: int, unclaimed: float) -> StepRecord:
     gt = controller.gain_terms(ctx.sys, ctx.x, selection.mass_center, alpha_used)
     bounds = ctx.sys.input_bounds
     u = gt.u_star if bounds is None else controller.optimal_input_constrained(gt, bounds)
-    # the one check of the input: what follows takes u as it is, and the
-    # local W2 takes ctx.y, an output of a checked state
+    # u is checked where it is chosen: the cores below take it as it is
+    # (step_events checks it again), and the local W2 takes ctx.y, an
+    # output of a checked state
     check_finite(u, ctx.sys.m, "u")
     # the slack test is absolute: the rows are at unit order
     constraint_active = bounds is not None and bool(np.any(bounds.Du - bounds.Cu @ u <= 1e-9))
